@@ -44,8 +44,9 @@ print("complements of atom", a, ":", lat.complements_of(a))
 print("uniform dimension", lat.uniform_dimension())
 print("is chain:", lat.is_chain(), " is semisimple:", lat.is_semisimple())
 
-# Strongly disjoint pairs get two independent verdicts: a lattice sweep
-# and an elementwise annihilator comparison. They must agree.
+# Strongly disjoint pairs get two independent verdicts: one from the
+# lattice order (atoms below the sum) and an elementwise annihilator
+# comparison. They must agree.
 rep = lat.strongly_disjoint(a, b)
 print("atoms strongly disjoint:", rep.lattice_verdict, "(routes agree:", rep.agree, ")")
 

@@ -189,15 +189,13 @@ def run_corpus(
     if jobs <= 1:
         outcomes = map(_run_item, tasks)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        outcomes = pool.map(_run_item, tasks)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            outcomes = list(pool.map(_run_item, tasks))
     for pres, (rows, dots, capped) in zip(items, outcomes):
         result.rows.extend(rows)
         result.dot_files.update(dots)
         if capped:
             result.skipped.append(pres.name)
-    if jobs > 1:
-        pool.shutdown()
 
     if dot_dir is not None:
         os.makedirs(dot_dir, exist_ok=True)

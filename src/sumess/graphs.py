@@ -5,8 +5,9 @@ Two distinct vertices are adjacent exactly when their sum is an essential
 submodule. The full graph takes all nontrivial submodules; the proper variant
 keeps only the non-essential ones.
 
-Adjacency is stored both as a numpy bool matrix and as per-vertex bitmask
-ints; traversals work on the ints (whole frontiers as single big integers).
+Adjacency is stored as one bitmask int per vertex, over vertex positions;
+traversals work on the ints (whole frontiers as single big integers). Rows
+are built from the lattice's up- and down-sets, with no vertex-pair table.
 """
 from __future__ import annotations
 
@@ -18,16 +19,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CliqueSearchCapExceeded, HypothesisNotMet
-from .lattice import SubmoduleLattice
+from .lattice import SubmoduleLattice, _iter_bits
 
 INF = math.inf
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class EssGraph:
@@ -43,18 +37,27 @@ class EssGraph:
         self.n_vertices = len(ids)
         self.pos_of: dict[int, int] = {lid: p for p, lid in enumerate(ids)}
 
-        if self.n_vertices:
-            vid = np.array(ids, dtype=np.int32)
-            joins = lattice.join_id[np.ix_(vid, vid)]
-            adj = lattice.essential[joins]
-            np.fill_diagonal(adj, False)
-        else:
-            adj = np.zeros((0, 0), dtype=bool)
-        self.adj = adj
+        # u + v is not essential iff v lies below some maximal
+        # non-essential w >= u
+        up, down = lattice.up, lattice.down
+        non_essential = ((1 << lattice.count) - 1) & ~up[lattice.socle_id]
+        tops = sum(1 << w for w in lattice.maximal(non_essential))
+        vertex_bits = sum(1 << lid for lid in ids)
+        nbytes = (lattice.count + 7) // 8
+        keep = np.array(ids, dtype=np.int64)
         self.rows: list[int] = []
-        for p in range(self.n_vertices):
-            bits = np.packbits(adj[p], bitorder="little")
-            self.rows.append(int.from_bytes(bits.tobytes(), "little"))
+        for lid in ids:
+            blocked = 1 << lid
+            for w in _iter_bits(up[lid] & tops):
+                blocked |= down[w]
+            row = vertex_bits & ~blocked
+            # re-index from lattice ids to vertex positions
+            bits = np.unpackbits(
+                np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8),
+                bitorder="little",
+            )[keep]
+            packed = np.packbits(bits, bitorder="little").tobytes()
+            self.rows.append(int.from_bytes(packed, "little"))
         self.full_mask = (1 << self.n_vertices) - 1 if self.n_vertices else 0
         self._diameter: float | None = None
         self._girth: float | None = None
@@ -75,7 +78,7 @@ class EssGraph:
         return [self.vertex_ids[q] for q in _iter_bits(self.rows[p])]
 
     def adjacent(self, a: int, b: int) -> bool:
-        return bool(self.adj[self.pos_of[a], self.pos_of[b]])
+        return bool(self.rows[self.pos_of[a]] >> self.pos_of[b] & 1)
 
     def n_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -264,13 +267,13 @@ class EssGraph:
 
     def is_clique(self, lids: Iterable[int]) -> bool:
         ps = [self.pos_of[lid] for lid in lids]
-        return all(
-            self.adj[a, b] for i, a in enumerate(ps) for b in ps[i + 1 :]
-        )
+        return all(self.rows[a] >> b & 1 for i, a in enumerate(ps) for b in ps[i + 1 :])
 
     def is_independent_set(self, lids: Iterable[int]) -> bool:
-        ps = [self.pos_of[lid] for lid in lids]
-        return not any(self.adj[a, b] for i, a in enumerate(ps) for b in ps[i + 1 :])
+        group = 0
+        for lid in lids:
+            group |= 1 << self.pos_of[lid]
+        return not any(self.rows[p] & group for p in _iter_bits(group))
 
     def find_clique(self, size: int, max_nodes: int = 1_000_000) -> list[int] | None:
         """Search for a clique of the given size; None if there is none.
@@ -470,11 +473,9 @@ def n_partite_witness(lattice: SubmoduleLattice, s_graph: EssGraph) -> NPartiteW
         raise HypothesisNotMet(f"need at least 2 maximal submodules, have {n}")
     if lattice.radical_id == lattice.zero_id:
         parts: list[list[int]] = [[] for _ in range(n)]
-        coatom_masks = [lattice.subs[c].mask for c in coatoms]
         for v in s_graph.vertex_ids:
-            mv = lattice.subs[v].mask
-            for k, cm in enumerate(coatom_masks):
-                if mv & cm == mv:
+            for k, c in enumerate(coatoms):
+                if lattice.leq(v, c):
                     parts[k].append(v)
                     break
             else:

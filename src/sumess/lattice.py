@@ -1,17 +1,26 @@
 """Submodule lattice enumeration and lattice-theoretic predicates.
 
-The lattice is built by collecting the cyclic submodules of all elements and
-saturating under pairwise join; every submodule is a join of cyclics, so the
-fixpoint is the complete lattice. Meets are bit intersections. Submodules are
-ordered canonically by (cardinality, member tuple) and addressed by their
-position in that order (canonical_id).
+Enumeration works by cyclic steps. Every submodule is a sum of cyclic
+submodules, so starting from {0} and joining each submodule found with each
+distinct nonzero cyclic submodule it does not already contain reaches the
+whole lattice, with about L x #cyclics joins. Submodules are ordered
+canonically by (cardinality, member tuple) and addressed by their position
+in that order (canonical_id).
+
+The order is stored once, as two bit-ints per canonical id: down[i] has bit
+j set iff subs[j] <= subs[i], and up[i] has bit j set iff subs[i] <= subs[j].
+Each step S -> S + C of the enumeration is recorded, and every containment
+S <= T is a chain of such steps (add the cyclics of T one at a time), so
+the two sets are the transitive closure of the steps. Ids ascend with size,
+so the join of i and j is the lowest set bit of up[i] & up[j] and their
+meet the highest set bit of down[i] & down[j]; the other queries are a few
+bit operations each (Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
+implementation of lattice operations", ACM TOPLAS 11(1), 1989).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 from .errors import Caps, LatticeCapExceeded
 from .modules import FiniteModule, Submodule, indices_from_mask
@@ -38,38 +47,44 @@ class StronglyDisjointReport:
         return self.lattice_verdict == self.element_verdict
 
 
+def _low_bit(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class SubmoduleLattice:
     def __init__(self, module: FiniteModule, caps: Caps | None = None):
         self.module = module
         self.caps = caps or module.caps
-        self._enumerate()
-        self._index_structure()
+        self._index_structure(self._enumerate())
         self._complement_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._class_set_cache: dict[int, frozenset[int]] = {}
 
     # -- enumeration ---------------------------------------------------------
 
-    def _enumerate(self) -> None:
+    def _enumerate(self) -> list[tuple[int, int]]:
+        """Find every submodule; return the steps S -> S + C taken, as id pairs."""
         mod = self.module
-        masks: dict[int, None] = {}
-        for x in range(mod.n):
-            masks.setdefault(mod.cyclic_mask(x))
-        work = list(masks)
-        known = list(masks)
-        while work:
-            new_masks = []
-            for a in work:
-                for b in known:
-                    j = mod.join_masks(a, b)
-                    if j not in masks:
-                        if len(masks) >= self.caps.max_lattice:
-                            raise LatticeCapExceeded(
-                                f"lattice exceeds cap {self.caps.max_lattice}"
-                            )
-                        masks.setdefault(j)
-                        new_masks.append(j)
-            known.extend(new_masks)
-            work = new_masks
+        cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, mod.n)))
+        masks: dict[int, None] = {1: None}
+        work = [1]
+        steps: list[tuple[int, int]] = []
+        for m in work:
+            for j in {mod.join_masks(m, c) for c in cyclics if c & m != c}:
+                steps.append((m, j))
+                if j not in masks:
+                    if len(masks) >= self.caps.max_lattice:
+                        raise LatticeCapExceeded(
+                            f"lattice exceeds cap {self.caps.max_lattice}"
+                        )
+                    masks[j] = None
+                    work.append(j)
 
         ordered = sorted(
             masks, key=lambda m: (m.bit_count(), tuple(indices_from_mask(m, mod.n)))
@@ -84,60 +99,39 @@ class SubmoduleLattice:
         self.count = len(self.subs)
         self.zero_id = self.id_of_mask[1]
         self.full_id = self.id_of_mask[(1 << mod.n) - 1]
+        ids = self.id_of_mask
+        return [(ids[a], ids[b]) for a, b in steps]
 
-    def _index_structure(self) -> None:
-        mod = self.module
+    def _index_structure(self, steps: list[tuple[int, int]]) -> None:
         L = self.count
-        join = np.empty((L, L), dtype=np.int32)
-        for i in range(L):
-            mi = self.subs[i].mask
-            join[i, i] = i
-            for j in range(i + 1, L):
-                mj = self.subs[j].mask
-                if mi & mj == mi:
-                    jid = j
-                elif mi & mj == mj:
-                    jid = i
-                else:
-                    jid = self.id_of_mask[mod.join_masks(mi, mj)]
-                join[i, j] = jid
-                join[j, i] = jid
-        self.join_id = join
+        # a step always goes to a strictly larger submodule, so a higher id:
+        # closing down-sets in ascending target order and up-sets in
+        # descending source order reads only finished sets
+        down = [1 << i for i in range(L)]
+        up = list(down)
+        steps.sort(key=lambda s: s[1])
+        for a, b in steps:
+            down[b] |= down[a]
+        steps.sort(key=lambda s: s[0], reverse=True)
+        for a, b in steps:
+            up[a] |= up[b]
+        self.down = down
+        self.up = up
 
-        # atoms: minimal nonzero; coatoms: maximal proper
-        atoms = []
-        for i, s in enumerate(self.subs):
-            if s.is_zero:
-                continue
-            if not any(
-                1 < t.size < s.size and t.leq(s) for t in self.subs if not t.is_zero
-            ):
-                atoms.append(i)
-        coatoms = []
-        for i, s in enumerate(self.subs):
-            if s.is_full:
-                continue
-            if not any(
-                s.size < t.size < mod.n and s.leq(t) for t in self.subs
-            ):
-                coatoms.append(i)
-        self.atoms = tuple(atoms)
-        self.coatoms = tuple(coatoms)
+        zero_bit = 1 << self.zero_id
+        full_bit = 1 << self.full_id
+        self.atoms = tuple(i for i in range(L) if down[i] & ~zero_bit == 1 << i)
+        self.coatoms = tuple(i for i in range(L) if up[i] & ~full_bit == 1 << i)
+        self.atom_mask = sum(1 << a for a in self.atoms)
 
-        soc = self.zero_id
-        for a in atoms:
-            soc = int(self.join_id[soc, a])
-        self.socle_id = soc
-
-        rad_mask = self.subs[self.full_id].mask
-        for c in coatoms:
-            rad_mask &= self.subs[c].mask
-        self.radical_id = self.id_of_mask[rad_mask]  # meets stay in the lattice
-
-        soc_mask = self.subs[self.socle_id].mask
-        self.essential = np.array(
-            [s.mask & soc_mask == soc_mask for s in self.subs], dtype=bool
-        )
+        above_atoms = up[self.zero_id]
+        for a in self.atoms:
+            above_atoms &= up[a]
+        self.socle_id = _low_bit(above_atoms)
+        below_coatoms = down[self.full_id]
+        for c in self.coatoms:
+            below_coatoms &= down[c]
+        self.radical_id = below_coatoms.bit_length() - 1
 
     # -- basic access --------------------------------------------------------
 
@@ -145,22 +139,22 @@ class SubmoduleLattice:
         return self.subs[i]
 
     def join(self, i: int, j: int) -> int:
-        return int(self.join_id[i, j])
+        return _low_bit(self.up[i] & self.up[j])
 
     def meet(self, i: int, j: int) -> int:
-        return self.id_of_mask[self.subs[i].mask & self.subs[j].mask]
+        return (self.down[i] & self.down[j]).bit_length() - 1
 
     def leq(self, i: int, j: int) -> bool:
-        return self.subs[i].leq(self.subs[j])
+        return bool(self.down[j] >> i & 1)
 
     def nontrivial_ids(self) -> list[int]:
-        return [i for i, s in enumerate(self.subs) if not s.is_zero and not s.is_full]
+        return list(range(self.zero_id + 1, self.full_id))
 
     # -- essentiality --------------------------------------------------------
 
     def is_essential(self, i: int) -> bool:
         """Fast path: essential iff the submodule contains the socle."""
-        return bool(self.essential[i])
+        return bool(self.up[self.socle_id] >> i & 1)
 
     def is_essential_definitional(self, i: int) -> bool:
         """Quantifier form: meets every nonzero submodule nontrivially."""
@@ -176,14 +170,11 @@ class SubmoduleLattice:
         return self.socle_id == self.full_id
 
     def atoms_below(self, i: int) -> list[int]:
-        mi = self.subs[i].mask
-        return [a for a in self.atoms if self.subs[a].mask & mi == self.subs[a].mask]
+        return list(_iter_bits(self.down[i] & self.atom_mask))
 
     def is_uniform(self, i: int) -> bool:
         """Nonzero with exactly one atom below: any two nonzero submodules meet."""
-        if self.subs[i].is_zero:
-            return False
-        return len(self.atoms_below(i)) == 1
+        return (self.down[i] & self.atom_mask).bit_count() == 1
 
     def is_uniform_module(self) -> bool:
         return self.is_uniform(self.full_id)
@@ -196,24 +187,35 @@ class SubmoduleLattice:
         """Greedy maximal family of atoms with pairwise-direct join.
 
         Choice-independent: the direct join of any maximal family is the
-        socle, so the product of the sizes always equals |socle| (asserted).
+        socle, so the product of the sizes always equals |socle| (checked).
         """
         picked: list[int] = []
-        acc = 1
+        acc = self.zero_id
         for a in self.atoms:
-            if self.subs[a].mask & acc == 1:
+            if not self.leq(a, acc):
                 picked.append(a)
-                acc = self.module.join_masks(acc, self.subs[a].mask)
+                acc = self.join(acc, a)
         sizes = prod(self.subs[a].size for a in picked) if picked else 1
-        assert sizes == self.subs[self.socle_id].size, "independent family does not span the socle"
+        if sizes != self.subs[self.socle_id].size:
+            raise AssertionError("independent family does not span the socle")
         return picked
 
     def is_chain(self) -> bool:
-        for i in range(self.count):
-            for j in range(i + 1, self.count):
-                if not self.leq(i, j) and not self.leq(j, i):
-                    return False
-        return True
+        # ids ascend with size, so a chain has down[i] = {0, ..., i}
+        return all(d == (2 << i) - 1 for i, d in enumerate(self.down))
+
+    def maximal(self, downset: int) -> list[int]:
+        """Maximal elements of a set of ids, ascending.
+
+        The highest id left is maximal: anything above it has a higher id
+        and has been taken, along with everything below it.
+        """
+        out = []
+        while downset:
+            top = downset.bit_length() - 1
+            out.append(top)
+            downset &= ~self.down[top]
+        return out[::-1]
 
     # -- complements ---------------------------------------------------------
 
@@ -221,46 +223,26 @@ class SubmoduleLattice:
         """Maximal submodules of `ambient` meeting subs[i] trivially.
 
         Canonically ordered. The join of subs[i] with each complement is an
-        essential submodule of the ambient (asserted).
+        essential submodule of the ambient (checked).
         """
         key = (i, ambient)
         cached = self._complement_cache.get(key)
         if cached is not None:
             return cached
-        mi = self.subs[i].mask
-        amb = self.subs[ambient].mask
-        disjoint = [
-            j
-            for j, s in enumerate(self.subs)
-            if s.mask & amb == s.mask and s.mask & mi == 1
-        ]
-        disjoint_set = set(disjoint)
-        out = []
-        for j in disjoint:
-            mj = self.subs[j].mask
-            if not any(
-                l != j and self.subs[l].mask & mj == mj for l in disjoint_set
-            ):
-                out.append(j)
-        for c in out:
-            jid = self.join(i, c)
-            assert self._essential_within(jid, ambient), "complement join not essential"
-        result = tuple(sorted(out))
+        # a submodule meets subs[i] trivially iff it contains no atom below i
+        meeting = 0
+        for a in _iter_bits(self.down[i] & self.atom_mask):
+            meeting |= self.up[a]
+        result = tuple(self.maximal(self.down[ambient] & ~meeting))
+        ambient_atoms = self.down[ambient] & self.atom_mask
+        for c in result:
+            if ambient_atoms & ~self.down[self.join(i, c)]:
+                raise AssertionError("complement join not essential")
         self._complement_cache[key] = result
         return result
 
     def complements_of(self, i: int) -> tuple[int, ...]:
         return self.complements_within(i, self.full_id)
-
-    def _essential_within(self, i: int, ambient: int) -> bool:
-        mi = self.subs[i].mask
-        amb = self.subs[ambient].mask
-        for s in self.subs:
-            if s.is_zero:
-                continue
-            if s.mask & amb == s.mask and mi & s.mask == 1:
-                return False
-        return True
 
     # -- strongly disjoint ----------------------------------------------------
 
@@ -277,32 +259,17 @@ class SubmoduleLattice:
         return not (self._ann_class_set(i) & self._ann_class_set(j))
 
     def strongly_disjoint(self, i: int, j: int) -> StronglyDisjointReport:
-        mi = self.subs[i].mask
-        mj = self.subs[j].mask
-        lattice_ok = mi & mj == 1
-        if lattice_ok:
-            sum_mask = self.subs[self.join(i, j)].mask
-            for s in self.subs:
-                if s.is_zero or s.mask & sum_mask != s.mask:
-                    continue
-                if s.mask & mi == 1 and s.mask & mj == 1:
-                    lattice_ok = False
-                    break
+        # a nonzero submodule of the sum missing both holds an atom missing both
+        down = self.down
+        lattice_ok = self.meet(i, j) == self.zero_id and not (
+            down[self.join(i, j)] & self.atom_mask & ~down[i] & ~down[j]
+        )
         return StronglyDisjointReport(i, j, lattice_ok, self.element_disjoint(i, j))
 
     # -- text dump -------------------------------------------------------------
 
     def lower_covers(self, i: int) -> list[int]:
-        mi = self.subs[i].mask
-        below = [j for j, s in enumerate(self.subs) if s.mask & mi == s.mask and j != i]
-        covers = []
-        for j in below:
-            mj = self.subs[j].mask
-            if not any(
-                l != j and self.subs[l].mask & mj == mj for l in below
-            ):
-                covers.append(j)
-        return sorted(covers)
+        return self.maximal(self.down[i] & ~(1 << i))
 
     def dump_text(self) -> str:
         lines = []

@@ -345,8 +345,10 @@ class FiniteModule:
             bits[orbit] = 1
             # the endo orbit of m is already a submodule because the action
             # ring is closed under + and o; verify closure anyway
-            assert bits[self.add[np.ix_(orbit, orbit)]].all(), "orbit not closed under +"
-            assert bits[self.endos[:, orbit]].all(), "orbit not closed under action"
+            if not bits[self.add[np.ix_(orbit, orbit)]].all():
+                raise AssertionError("orbit not closed under +")
+            if not bits[self.endos[:, orbit]].all():
+                raise AssertionError("orbit not closed under action")
             cached = _mask_from_bits(bits)
             self._cyclic_mask_cache[index] = cached
         return cached

@@ -584,13 +584,9 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
         decomposition_ok = direct and acc == lat.full_id
         if not decomposition_ok:
             witness = "greedy simple decomposition not direct or not spanning"
-        try:
-            for i, a in enumerate(family):
-                for b in family[i + 1 :]:
-                    az.homs(a, b)
-        except Exception as exc:  # cap overruns surface as failures here
-            decomposition_ok = False
-            witness = f"hom counting failed: {exc}"
+        for i, a in enumerate(family):
+            for b in family[i + 1 :]:
+                az.homs(a, b)
         branch = decomposition_ok
     else:
         branch = lat.socle_id != lat.full_id and lat.is_essential(lat.socle_id)

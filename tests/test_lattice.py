@@ -13,6 +13,8 @@ from sumess import (
     enumerate_lattice,
     integer_module,
     matrix_ring_presentation,
+    proper_sum_essential_graph,
+    sum_essential_graph,
 )
 
 
@@ -69,6 +71,22 @@ def test_frozen_counts(z8z2, z4z9, z12):
     assert z8z2.lattice.count == 11
     assert z4z9.lattice.count == 9
     assert z12.lattice.count == 6
+
+
+def _q_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_galois_numbers_elementary_abelian(k):
+    """Z2^k has sum_j [k j]_2 subgroups, one per subspace of F2^k."""
+    want = sum(_q_binomial(k, j, 2) for j in range(k + 1))
+    assert want == {2: 5, 3: 16, 4: 67, 5: 374, 6: 2825}[k]
+    assert _lat(*(2,) * k).count == want
 
 
 def test_matrix_ring_lattice():
@@ -295,3 +313,77 @@ def test_dump_text_deterministic(z12):
     assert text == z12.lattice.dump_text()
     for i in range(lat.count):
         assert f"id={i} " in text
+
+
+# -- raw-mask oracle --------------------------------------------------------------
+
+
+ORACLE_MODULES = {
+    "z12": integer_module("z12", 12),
+    "z8z2": integer_module("z8z2", 8, 2),
+    "z2z2z2": integer_module("z2z2z2", 2, 2, 2),
+    "z4z2z2": integer_module("z4z2z2", 4, 2, 2),
+    "z3z3": integer_module("z3z3", 3, 3),
+    "m2f2": matrix_ring_presentation(),
+}
+
+
+def _maximal_masks(masks, ids):
+    """Ids in `ids` whose mask lies strictly inside no other mask of `ids`."""
+    return sorted(
+        j
+        for j in ids
+        if not any(k != j and masks[j] & masks[k] == masks[j] for k in ids)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_order_queries_match_raw_masks(name):
+    """Every lattice query against sums, intersections and inclusions of masks."""
+    mod = build_module(ORACLE_MODULES[name])
+    lat = enumerate_lattice(mod)
+    masks = [s.mask for s in lat.subs]
+    ids = range(lat.count)
+    full = (1 << mod.n) - 1
+
+    def leq(i, j):
+        return masks[i] & masks[j] == masks[i]
+
+    def join(i, j):
+        return lat.id_of_mask[mod.join_masks(masks[i], masks[j])]
+
+    for i in ids:
+        for j in ids:
+            assert lat.join(i, j) == join(i, j), (name, i, j)
+            assert lat.meet(i, j) == lat.id_of_mask[masks[i] & masks[j]], (name, i, j)
+            assert lat.leq(i, j) == leq(i, j), (name, i, j)
+
+    nonzero = [i for i in ids if masks[i] != 1]
+    proper = [i for i in ids if masks[i] != full]
+    assert list(lat.atoms) == sorted(
+        i for i in nonzero if not any(j != i and leq(j, i) for j in nonzero)
+    )
+    assert list(lat.coatoms) == sorted(
+        i for i in proper if not any(j != i and leq(i, j) for j in proper)
+    )
+    for i in ids:
+        below = [j for j in ids if j != i and leq(j, i)]
+        assert lat.lower_covers(i) == _maximal_masks(masks, below), (name, i)
+        for amb in ids:
+            disjoint = [j for j in ids if leq(j, amb) and masks[j] & masks[i] == 1]
+            want = tuple(_maximal_masks(masks, disjoint))
+            assert lat.complements_within(i, amb) == want, (name, i, amb)
+
+    essential = [lat.is_essential_definitional(i) for i in ids]
+    for g in (sum_essential_graph(lat), proper_sum_essential_graph(lat)):
+        want_vertices = [
+            i
+            for i in ids
+            if masks[i] not in (1, full) and (g.kind == "s" or not essential[i])
+        ]
+        assert list(g.vertex_ids) == want_vertices, (name, g.kind)
+        for u in want_vertices:
+            want = [v for v in want_vertices if v != u and essential[join(u, v)]]
+            assert g.neighbors(u) == want, (name, g.kind, u)
+            for v in want_vertices:
+                assert g.adjacent(u, v) == (v in want), (name, g.kind, u, v)

@@ -4,6 +4,8 @@ import pytest
 from sumess import (
     CATALOG_ALL,
     CORPUS_GATES,
+    Caps,
+    HomSearchCapExceeded,
     ModuleAnalysis,
     REGISTRY,
     UnknownTheoremId,
@@ -254,6 +256,13 @@ def test_finiteness_branches(z8z2, corpus_analyses):
     assert v.passed
     v = REGISTRY["finiteness"](corpus_analyses["m2f2"])
     assert v.passed
+
+
+def test_finiteness_cap_overrun_propagates():
+    """A hom-search cap overrun is a cap-exceeded outcome, not a failed verdict."""
+    az = ModuleAnalysis(integer_module("z2z2", 2, 2), caps=Caps(max_hom_search=1))
+    with pytest.raises(HomSearchCapExceeded):
+        REGISTRY["finiteness"](az)
 
 
 def test_gates(z8z2, z4z9, z8z3):
