@@ -3,9 +3,10 @@
 A module is presented as a finite abelian group Z_{d1} + ... + Z_{dk}
 (mixed-radix coordinates) together with an action: either the integers
 acting by scalars, or a generated action given by k-by-k integer matrices.
-The action ring is materialized as the set of endomorphism function tables
-closed under pointwise addition and composition; it always contains the
-identity and the zero map.
+The action ring is materialized as endomorphism function tables: the additive
+span of the identity and all composites of the generator tables, enumerated
+one coset of a new word at a time. It always contains the identity and the
+zero map; for the integer action it is the scalars 0..exponent-1.
 
 Elements are addressed by a dense index: index = sum(c_i * stride_i) with
 stride_0 = 1 and stride_i = stride_{i-1} * d_{i-1}, so the first coordinate
@@ -188,20 +189,12 @@ class FiniteModule:
 
         self.endos = self._build_action_ring(presentation.action)
         self.endo_count = self.endos.shape[0]
-        zero_key = np.zeros(n, dtype=np.int32).tobytes()
-        ident_key = np.arange(n, dtype=np.int32).tobytes()
-        keys = {self.endos[i].tobytes(): i for i in range(self.endo_count)}
-        self.zero_endo = keys[zero_key]
-        self.identity_endo = keys[ident_key]
 
         self._cyclic_mask_cache: dict[int, int] = {}
         self._ann_mask_cache: dict[int, int] = {}
         self._ann_class_cache = None
 
     # -- construction ------------------------------------------------------
-
-    def _scalar_table(self, s: int) -> np.ndarray:
-        return (((self._coords * s) % self._mod_arr) @ self._strides).astype(np.int32)
 
     def _matrix_table(self, g) -> np.ndarray:
         mat = np.asarray(g, dtype=np.int64)
@@ -227,52 +220,46 @@ class FiniteModule:
             raise IllFormedGenerator("generator table is not additive")
 
     def _build_action_ring(self, action) -> np.ndarray:
-        n = self.n
-        if isinstance(action, IntegerAction):
-            # scalars 0..exponent-1, all distinct
-            tables = [self._scalar_table(s) for s in range(self.exponent)]
-            if len(tables) > self.caps.max_action_ring:
-                raise ActionRingCapExceeded(
-                    f"action ring has {len(tables)} endomorphisms, cap is {self.caps.max_action_ring}"
-                )
-            return np.stack(tables)
+        """The subring of End(M) generated by the action, one table per row.
 
-        ident = np.arange(n, dtype=np.int32)
-        zero = np.zeros(n, dtype=np.int32)
-        tables: list[np.ndarray] = []
-        seen: dict[bytes, int] = {}
-
-        def push(t: np.ndarray) -> bool:
-            key = t.tobytes()
-            if key in seen:
-                return False
-            if len(tables) >= self.caps.max_action_ring:
-                raise ActionRingCapExceeded(
-                    f"action ring closure exceeds cap {self.caps.max_action_ring}"
-                )
-            seen[key] = len(tables)
-            tables.append(t)
-            return True
-
-        push(ident)
-        push(zero)
-        for g in action.generators:
-            push(self._matrix_table(g))
-
-        # closure under composition and pointwise addition; additivity is
-        # preserved by both, so only the seed tables need the exhaustive check
-        frontier = list(range(len(tables)))
-        while frontier:
-            new: list[int] = []
-            for a in frontier:
-                ta = tables[a]
-                for b in range(len(tables)):
-                    tb = tables[b]
-                    for t in (ta[tb], tb[ta], self.add[ta, tb]):
-                        if push(t):
-                            new.append(len(tables) - 1)
-            frontier = new
-        return np.stack(tables)
+        That subring is the additive span of the words in the generator
+        tables (the empty word is the identity): words are closed under
+        composition, and composition is additive in both arguments. The span
+        S starts at {0}; each word w not yet in S grows it coset by coset,
+        S, S + w, S + 2w, ..., until the next multiple of w lies in S, and
+        then queues w o g for each generator g. So S ends closed under right
+        composition by the generators, and contains every word. With no
+        generators (the integer action) the rows are the scalars
+        0, 1, ..., exponent - 1 in order. Sums and composites of additive
+        maps are additive, so only the generator tables need the exhaustive
+        check in _matrix_table.
+        """
+        gens = []
+        if isinstance(action, GeneratedAction):
+            gens = [self._matrix_table(g) for g in action.generators]
+        cap = self.caps.max_action_ring
+        span = np.zeros((1, self.n), dtype=np.int32)
+        keys = {span[0].tobytes()}
+        queue = [np.arange(self.n, dtype=np.int32)]
+        while queue:
+            w = queue.pop()
+            if w.tobytes() in keys:
+                continue
+            cosets = [span]
+            multiple = w
+            while multiple.tobytes() not in keys:
+                size = len(keys) + span.shape[0]
+                if size > cap:
+                    raise ActionRingCapExceeded(
+                        f"action ring has at least {size} endomorphisms, cap is {cap}"
+                    )
+                coset = self.add[span, multiple]
+                keys.update(row.tobytes() for row in coset)
+                cosets.append(coset)
+                multiple = self.add[multiple, w]
+            span = np.concatenate(cosets)
+            queue.extend(w[g] for g in gens)
+        return span
 
     # -- elements ----------------------------------------------------------
 

@@ -1,18 +1,23 @@
 """Module construction, action rings, annihilators, hom counting, isomorphism."""
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumess import (
+    ActionRingCapExceeded,
     Caps,
+    CorpusSpec,
     ElementCapExceeded,
     FiniteModule,
     IllFormedGenerator,
     InvalidModuli,
     build_module,
     count_homs,
+    enumerate_corpus,
     generated_module,
     integer_module,
     is_isomorphic,
@@ -75,10 +80,14 @@ def test_element_cap():
 
 
 def test_integer_action_ring_size_is_exponent():
-    # scalars act through Z modulo the exponent of the group
+    # scalars act through Z modulo the exponent of the group, endo s being s*x
     for moduli in [(6,), (4, 2), (8, 2), (2, 3, 5), (9, 3)]:
         m = _mod(*moduli)
         assert m.endo_count == math.lcm(*moduli)
+        for s in range(m.endo_count):
+            for x in range(m.n):
+                want = tuple(s * c for c in m.decode(x))
+                assert int(m.endos[s, x]) == m.encode(want)
 
 
 def test_generated_identity_matches_integer_action():
@@ -108,6 +117,155 @@ def test_action_ring_closed():
             s = m.add[m.endos[i], m.endos[j]]
             assert comp.astype(np.int32).tobytes() in tables
             assert s.astype(np.int32).tobytes() in tables
+
+
+# Matrix presentations of rings with known orders (triangular and full matrix
+# rings, group algebras, F_p[x]/(f)). Each generator acts on coordinate columns.
+
+
+def _unit(k, i, j):
+    return [[int(r == i and c == j) for c in range(k)] for r in range(k)]
+
+
+def _block_diag(mat, copies):
+    k = len(mat)
+    return [
+        [mat[r % k][c % k] if r // k == c // k else 0 for c in range(k * copies)]
+        for r in range(k * copies)
+    ]
+
+
+def _companion(coeffs, p):
+    """x acting on F_p[x]/(x^d + sum coeffs[i] x^i), basis 1, x, ..., x^(d-1)."""
+    d = len(coeffs)
+    return [
+        [(-coeffs[r]) % p if c == d - 1 else int(r == c + 1) for c in range(d)]
+        for r in range(d)
+    ]
+
+
+def _left_regular(elements, mul, gens):
+    """Permutation matrices of left multiplication by each g in gens."""
+    pos = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    return [
+        [[int(pos[mul(g, elements[c])] == r) for c in range(n)] for r in range(n)]
+        for g in gens
+    ]
+
+
+def _ring_presentations():
+    """(presentation, closed-form ring order) for the nine generated families."""
+    upper = lambda k: [_unit(k, i, j) for i in range(k) for j in range(i, k)]
+    full = lambda k: [_unit(k, i, j) for i in range(k) for j in range(k)]
+    s3 = list(itertools.permutations(range(3)))
+    c2c2 = list(itertools.product((0, 1), repeat=2))
+    return [
+        # T_k(F_q): q^(k(k+1)/2); M_k(F_q) acting faithfully: q^(k^2)
+        (generated_module("t3f3", (3,) * 3, upper(3)), 3**6),
+        (generated_module("t4f2", (2,) * 4, upper(4)), 2**10),
+        (generated_module("m3f2", (2,) * 3, full(3)), 2**9),
+        (generated_module("m2f3_sq", (3,) * 4, [_block_diag(g, 2) for g in full(2)]), 3**4),
+        (generated_module("m2f2_cube", (2,) * 6, [_block_diag(g, 3) for g in full(2)]), 2**4),
+        # a group algebra acts faithfully on itself: 2^|G|
+        (
+            generated_module(
+                "f2s3",
+                (2,) * 6,
+                _left_regular(s3, lambda g, h: tuple(g[h[i]] for i in range(3)), [(1, 0, 2), (1, 2, 0)]),
+            ),
+            2**6,
+        ),
+        (
+            generated_module(
+                "f2c2c2",
+                (2,) * 4,
+                _left_regular(c2c2, lambda g, h: ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2), [(1, 0), (0, 1)]),
+            ),
+            2**4,
+        ),
+        # F_p[x]/(f) acting on itself: p^deg(f)
+        (generated_module("f3_x2p1sq", (3,) * 4, [_companion([1, 0, 2, 0], 3)]), 3**4),
+        (generated_module("f2_phi7", (2,) * 6, [_companion([1] * 6, 2)]), 2**6),
+    ]
+
+
+def test_action_ring_orders_closed_form():
+    for pres, order in _ring_presentations():
+        m = build_module(pres)
+        assert m.endo_count == order, pres.name
+        assert len({m.endos[i].tobytes() for i in range(m.endo_count)}) == order
+
+
+def _pairwise_closure(pres):
+    """Tables of the ring generated by pres's matrices: {id, 0, gens} closed
+    under composition and pointwise addition by brute force, with tables and
+    addition built here from coordinates (first coordinate fastest)."""
+    moduli = np.array(pres.moduli)
+    coords = np.array([c[::-1] for c in itertools.product(*[range(d) for d in pres.moduli[::-1]])])
+    strides = np.cumprod([1, *pres.moduli[:-1]])
+    add = ((coords[:, None, :] + coords[None, :, :]) % moduli) @ strides
+    n = len(coords)
+    seeds = [np.arange(n), np.zeros(n, dtype=int)]
+    seeds += [((coords @ np.array(g).T) % moduli) @ strides for g in pres.action.generators]
+    seen = {}
+    for t in seeds:
+        seen.setdefault(tuple(t), t)
+    frontier = list(seen.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(seen.values()):
+                for t in (a[b], b[a], add[a, b]):
+                    if tuple(t) not in seen:
+                        seen[tuple(t)] = t
+                        new.append(t)
+        frontier = new
+    return set(seen)
+
+
+def _conjugated(pres, p, seed):
+    """pres with every generator replaced by P g P^-1, P random invertible mod p.
+
+    An invertible k-by-k matrix over F_p has order at most p^k - 1, so P^-1
+    is the power of P just before the identity; a P with no such power is
+    singular and is drawn again."""
+    rng = random.Random(seed)
+    k = len(pres.moduli)
+    ident = np.eye(k, dtype=int)
+    while True:
+        mat = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(k)])
+        power, inverse = mat, ident
+        for _ in range(p**k):
+            if (power == ident).all():
+                break
+            inverse = power
+            power = (power @ mat) % p
+        if (power == ident).all():
+            break
+    gens = [(mat @ np.array(g) @ inverse) % p for g in pres.action.generators]
+    return generated_module(pres.name + "_conj", pres.moduli, gens)
+
+
+def test_action_ring_matches_pairwise_closure():
+    by_name = {pres.name: pres for pres, _ in _ring_presentations()}
+    m2f2 = next(p for p in enumerate_corpus(CorpusSpec()) if p.name == "m2f2")
+    for pres in (m2f2, by_name["f2c2c2"], _conjugated(by_name["m2f3_sq"], 3, 5)):
+        m = build_module(pres)
+        tables = {tuple(int(v) for v in m.endos[i]) for i in range(m.endo_count)}
+        assert len(tables) == m.endo_count
+        assert tables == _pairwise_closure(pres), pres.name
+
+
+def test_action_ring_cap():
+    t4f2 = next(pres for pres, _ in _ring_presentations() if pres.name == "t4f2")
+    with pytest.raises(ActionRingCapExceeded):
+        build_module(t4f2, caps=Caps(max_action_ring=1023))
+    assert build_module(t4f2, caps=Caps(max_action_ring=1024)).endo_count == 1024
+    z64 = integer_module("z64", 64)
+    with pytest.raises(ActionRingCapExceeded):
+        build_module(z64, caps=Caps(max_action_ring=63))
+    assert build_module(z64, caps=Caps(max_action_ring=64)).endo_count == 64
 
 
 # -- annihilators --------------------------------------------------------------
