@@ -37,20 +37,12 @@ class EssGraph:
         self.n_vertices = len(ids)
         self.pos_of: dict[int, int] = {lid: p for p, lid in enumerate(ids)}
 
-        # u + v is not essential iff v lies below some maximal
-        # non-essential w >= u
-        up, down = lattice.up, lattice.down
-        non_essential = ((1 << lattice.count) - 1) & ~up[lattice.socle_id]
-        tops = sum(1 << w for w in lattice.maximal(non_essential))
         vertex_bits = sum(1 << lid for lid in ids)
         nbytes = (lattice.count + 7) // 8
         keep = np.array(ids, dtype=np.int64)
         self.rows: list[int] = []
         for lid in ids:
-            blocked = 1 << lid
-            for w in _iter_bits(up[lid] & tops):
-                blocked |= down[w]
-            row = vertex_bits & ~blocked
+            row = vertex_bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
             # re-index from lattice ids to vertex positions
             bits = np.unpackbits(
                 np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8),

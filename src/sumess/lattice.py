@@ -2,8 +2,10 @@
 
 Enumeration works by cyclic steps. Every submodule is a sum of cyclic
 submodules, so starting from {0} and joining each submodule found with each
-distinct nonzero cyclic submodule it does not already contain reaches the
-whole lattice, with about L x #cyclics joins. Submodules are ordered
+distinct nonzero cyclic submodule reaches the whole lattice. All the sums
+S + C of one submodule S are found at once, by one numpy gather of S's
+bit-vector through the addition table and an OR over each cyclic's rows, so
+the build makes a few numpy calls per submodule. Submodules are ordered
 canonically by (cardinality, member tuple) and addressed by their position
 in that order (canonical_id).
 
@@ -22,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
+import numpy as np
+
 from .errors import Caps, LatticeCapExceeded
-from .modules import FiniteModule, Submodule, indices_from_mask
+from .modules import FiniteModule, Submodule, bits_from_mask, indices_from_mask
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,32 @@ def _iter_bits(mask: int):
         mask ^= low
 
 
+def _cyclic_blocks(mod: FiniteModule, cyclics: list[int]):
+    """Split the cyclics into blocks of at most 8n members in all.
+
+    Each block is (lo, hi, rows, starts): rows lists the members of
+    cyclics[lo:hi], one cyclic after the other, and starts holds the first
+    row of each cyclic.
+    """
+    n = mod.n
+    groups: list[list[int]] = [[]]
+    size = 0
+    for c in cyclics:
+        if groups[-1] and size + c.bit_count() > 8 * n:
+            groups.append([])
+            size = 0
+        groups[-1].append(c)
+        size += c.bit_count()
+    blocks = []
+    lo = 0
+    for group in groups:
+        members = [indices_from_mask(c, n) for c in group]
+        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+        blocks.append((lo, lo + len(group), np.concatenate(members), starts))
+        lo += len(group)
+    return blocks
+
+
 class SubmoduleLattice:
     def __init__(self, module: FiniteModule, caps: Caps | None = None):
         self.module = module
@@ -69,14 +99,36 @@ class SubmoduleLattice:
     # -- enumeration ---------------------------------------------------------
 
     def _enumerate(self) -> list[tuple[int, int]]:
-        """Find every submodule; return the steps S -> S + C taken, as id pairs."""
+        """Find every submodule; return the steps S -> S + C taken, as id pairs.
+
+        y lies in S + C iff y + c lies in S for some c in C (C = -C). So
+        one gather of S's bit-vector through add gives every translate S - x
+        as a packed row, and OR-ing the rows of the members of each cyclic C
+        gives all the sums S + C at once; the distinct ones other than S are
+        the steps from S. Cyclics are taken a block of at most 8n rows of n
+        bits at a time, so no array made here is larger than n x n bytes, a
+        quarter of add.
+        """
         mod = self.module
-        cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, mod.n)))
+        n = mod.n
+        cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, n)))
+        blocks = _cyclic_blocks(mod, cyclics)
+        nbytes = (n + 7) // 8
+        sums = np.empty((len(cyclics), nbytes), dtype=np.uint8)
         masks: dict[int, None] = {1: None}
         work = [1]
         steps: list[tuple[int, int]] = []
         for m in work:
-            for j in {mod.join_masks(m, c) for c in cyclics if c & m != c}:
+            translates = np.packbits(bits_from_mask(m, n)[mod.add], axis=1, bitorder="little")
+            for lo, hi, rows, starts in blocks:
+                np.bitwise_or.reduceat(translates[rows], starts, axis=0, out=sums[lo:hi])
+            packed = sums.tobytes()
+            found = {
+                int.from_bytes(packed[k : k + nbytes], "little")
+                for k in range(0, len(packed), nbytes)
+            }
+            found.discard(m)
+            for j in found:
                 steps.append((m, j))
                 if j not in masks:
                     if len(masks) >= self.caps.max_lattice:
@@ -132,6 +184,9 @@ class SubmoduleLattice:
         for c in self.coatoms:
             below_coatoms &= down[c]
         self.radical_id = below_coatoms.bit_length() - 1
+        self._inessential_tops = sum(
+            1 << w for w in self.maximal(down[self.full_id] & ~up[self.socle_id])
+        )
 
     # -- basic access --------------------------------------------------------
 
@@ -156,6 +211,17 @@ class SubmoduleLattice:
         """Fast path: essential iff the submodule contains the socle."""
         return bool(self.up[self.socle_id] >> i & 1)
 
+    def inessential_sums(self, i: int) -> int:
+        """Ids j with subs[i] + subs[j] not essential, as a bit-int.
+
+        The sum is not essential iff it lies below a maximal non-essential
+        submodule w, that is iff both i and j lie below such a w.
+        """
+        out = 0
+        for w in _iter_bits(self.up[i] & self._inessential_tops):
+            out |= self.down[w]
+        return out
+
     def is_essential_definitional(self, i: int) -> bool:
         """Quantifier form: meets every nonzero submodule nontrivially."""
         mi = self.subs[i].mask
@@ -168,6 +234,17 @@ class SubmoduleLattice:
 
     def is_semisimple(self) -> bool:
         return self.socle_id == self.full_id
+
+    def meeting(self, i: int) -> int:
+        """Ids of the submodules meeting subs[i] nontrivially, as a bit-int.
+
+        A nonzero intersection holds an atom, so these are the up-sets of
+        the atoms below i.
+        """
+        out = 0
+        for a in _iter_bits(self.down[i] & self.atom_mask):
+            out |= self.up[a]
+        return out
 
     def atoms_below(self, i: int) -> list[int]:
         return list(_iter_bits(self.down[i] & self.atom_mask))
@@ -229,11 +306,7 @@ class SubmoduleLattice:
         cached = self._complement_cache.get(key)
         if cached is not None:
             return cached
-        # a submodule meets subs[i] trivially iff it contains no atom below i
-        meeting = 0
-        for a in _iter_bits(self.down[i] & self.atom_mask):
-            meeting |= self.up[a]
-        result = tuple(self.maximal(self.down[ambient] & ~meeting))
+        result = tuple(self.maximal(self.down[ambient] & ~self.meeting(i)))
         ambient_atoms = self.down[ambient] & self.atom_mask
         for c in result:
             if ambient_atoms & ~self.down[self.join(i, c)]:

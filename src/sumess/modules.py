@@ -84,10 +84,14 @@ def mask_from_indices(indices, n: int) -> int:
     return _mask_from_bits(bits)
 
 
+def bits_from_mask(mask: int, n: int) -> np.ndarray:
+    """Boolean membership vector of length n."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)
+
+
 def indices_from_mask(mask: int, n: int) -> np.ndarray:
-    raw = mask.to_bytes((n + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n]
-    return np.nonzero(bits)[0].astype(np.int32)
+    return np.flatnonzero(bits_from_mask(mask, n)).astype(np.int32)
 
 
 class Submodule:
@@ -344,15 +348,18 @@ class FiniteModule:
         return Submodule(self, self.cyclic_mask(self._as_index(m)))
 
     def join_masks(self, mask_a: int, mask_b: int) -> int:
-        """Sum of two submodules, as a mask (one-shot: {a+b} is closed)."""
+        """Sum of two submodules, as a mask.
+
+        y lies in A + B iff y + b lies in A for some b in B (B = -B): one
+        gather of A's bit-vector through the rows add[b], b over the smaller
+        submodule.
+        """
         if mask_a == mask_b:
             return mask_a
-        ia = indices_from_mask(mask_a, self.n)
-        ib = indices_from_mask(mask_b, self.n)
-        out = self.add[np.ix_(ia, ib)]
-        bits = np.zeros(self.n, dtype=np.uint8)
-        bits[out.ravel()] = 1
-        return _mask_from_bits(bits)
+        if mask_b.bit_count() > mask_a.bit_count():
+            mask_a, mask_b = mask_b, mask_a
+        rows = self.add[indices_from_mask(mask_b, self.n)]
+        return _mask_from_bits(bits_from_mask(mask_a, self.n)[rows].any(axis=0))
 
     def span_mask(self, indices) -> int:
         mask = 1

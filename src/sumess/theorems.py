@@ -90,24 +90,13 @@ def _elementwise_separation(az: ModuleAnalysis, u: int) -> bool:
 def _meets_imply_socle(az: ModuleAnalysis, u: int) -> bool:
     """Every E meeting U nontrivially with U+E essential contains the socle."""
     lat = az.lattice
-    mu = lat.subs[u].mask
-    soc_mask = lat.subs[lat.socle_id].mask
-    for j, s in enumerate(lat.subs):
-        if (mu & s.mask) == 1:
-            continue
-        if lat.is_essential(lat.join(u, j)) and (s.mask & soc_mask) != soc_mask:
-            return False
-    return True
+    return not (lat.meeting(u) & ~lat.inessential_sums(u) & ~lat.up[lat.socle_id])
 
 
 def _disjoints_inside_socle(az: ModuleAnalysis, u: int) -> bool:
+    """Every E meeting U trivially lies inside the socle."""
     lat = az.lattice
-    mu = lat.subs[u].mask
-    soc_mask = lat.subs[lat.socle_id].mask
-    for s in lat.subs:
-        if (mu & s.mask) == 1 and (s.mask & soc_mask) != s.mask:
-            return False
-    return True
+    return not (lat.down[lat.full_id] & ~lat.meeting(u) & ~lat.down[lat.socle_id])
 
 
 def _socle_meet_unique_complement(az: ModuleAnalysis, u: int) -> bool:

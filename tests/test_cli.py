@@ -1,10 +1,13 @@
 """Command line behavior: output, exit codes, env caps, determinism."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sumess
 from sumess import TheoremVerdict
 from sumess.cli import main
 
@@ -199,10 +202,14 @@ def test_corpus_extra_spec(tmp_path, capsys):
 
 
 def test_console_script_installed(z4_spec):
+    # the child imports the same sumess as this test, installed or not
+    src = str(Path(sumess.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "sumess.cli", "analyze", z4_spec],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "module z4" in proc.stdout

@@ -1,21 +1,28 @@
 """Submodule lattice enumeration, structure maps, and their oracles."""
 import math
-from itertools import combinations
+import random
+import tracemalloc
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumess import (
     Caps,
     LatticeCapExceeded,
+    ModuleAnalysis,
     SubmoduleLattice,
     build_module,
     enumerate_lattice,
+    generated_module,
     integer_module,
     matrix_ring_presentation,
     proper_sum_essential_graph,
     sum_essential_graph,
 )
+from sumess.lattice import _cyclic_blocks
+from sumess.theorems import _disjoints_inside_socle, _meets_imply_socle
 
 
 def _lat(*moduli, caps=None) -> SubmoduleLattice:
@@ -67,6 +74,94 @@ def test_brute_force_enumeration_small():
         assert found == lat.count
 
 
+def _unit(k, i, j):
+    return [[int(r == i and c == j) for c in range(k)] for r in range(k)]
+
+
+# T4(F2) on its column space F2^4, generated by the units e_ij, i <= j
+T4F2 = generated_module(
+    "t4f2", (2,) * 4, [_unit(4, i, j) for i in range(4) for j in range(i, 4)]
+)
+# F2[C2 x C2] on itself: the permutation matrices of left multiplication
+# by the two generators, basis (0,0), (0,1), (1,0), (1,1)
+C2C2 = list(product((0, 1), repeat=2))
+F2C2C2 = generated_module(
+    "f2c2c2",
+    (2,) * 4,
+    [
+        [[int(C2C2.index(((g[0] + h[0]) % 2, (g[1] + h[1]) % 2)) == r) for h in C2C2] for r in range(4)]
+        for g in ((1, 0), (0, 1))
+    ],
+)
+
+
+def _generator_tables(pres):
+    """Index tables of the generator matrices, first coordinate fastest."""
+    moduli = pres.moduli
+    strides = [math.prod(moduli[:i]) for i in range(len(moduli))]
+    coords = [
+        [x // s % d for s, d in zip(strides, moduli)] for x in range(math.prod(moduli))
+    ]
+    gens = getattr(pres.action, "generators", ())
+    return [
+        [
+            sum(sum(a * c for a, c in zip(row, cs)) % d * s for row, d, s in zip(g, moduli, strides))
+            for cs in coords
+        ]
+        for g in gens
+    ]
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        integer_module("z16", 16),
+        integer_module("z4z4", 4, 4),
+        integer_module("z2z8", 2, 8),
+        integer_module("z2z2z2z2", 2, 2, 2, 2),
+        matrix_ring_presentation(),
+        F2C2C2,
+        T4F2,
+    ],
+    ids=lambda pres: pres.name,
+)
+def test_lattice_matches_closed_subsets(pres):
+    """Masks equal the subsets holding 0 and closed under + and each generator.
+
+    Every subset of the n <= 16 elements is tested at once, one boolean
+    vector per element over all candidate subsets.
+    """
+    mod = build_module(pres)
+    n = mod.n
+    assert n <= 16
+    subsets = np.arange(1 << (n - 1), dtype=np.int64) * 2 + 1
+    bit = [(subsets >> x & 1).astype(bool) for x in range(n)]
+    closed = np.ones(subsets.size, dtype=bool)
+    for a in range(n):
+        for b in range(a, n):
+            closed &= ~(bit[a] & bit[b]) | bit[int(mod.add[a, b])]
+    for table in _generator_tables(pres):
+        for x in range(n):
+            closed &= ~bit[x] | bit[table[x]]
+    want = {int(m) for m in subsets[closed]}
+    assert {s.mask for s in enumerate_lattice(mod).subs} == want
+
+
+def test_coordinate_subspaces_over_many_cyclic_blocks():
+    """F2^7 under the diagonal idempotents: submodules are the 2^7 coordinate
+    subspaces, and the 3^7 - 1 cyclic members span several blocks."""
+    k = 7
+    pres = generated_module("f2^7", (2,) * k, [_unit(k, i, i) for i in range(k)])
+    mod = build_module(pres)
+    cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, mod.n)))
+    assert sum(c.bit_count() for c in cyclics) == 3**k - 1
+    assert len(_cyclic_blocks(mod, cyclics)) > 1
+    want = {
+        sum(1 << x for x in range(mod.n) if x & ~support == 0) for support in range(1 << k)
+    }
+    assert {s.mask for s in enumerate_lattice(mod).subs} == want
+
+
 def test_frozen_counts(z8z2, z4z9, z12):
     assert z8z2.lattice.count == 11
     assert z4z9.lattice.count == 9
@@ -96,6 +191,26 @@ def test_matrix_ring_lattice():
     assert sorted(lat.subs[i].size for i in range(lat.count)) == [1, 4, 4, 4, 16]
     assert len(lat.atoms) == 3
     assert lat.is_semisimple()
+
+
+@pytest.mark.parametrize(
+    "moduli, count",
+    # Z512 is a chain of 10; Z2 x Z256 has (p + 1) * b + 2 subgroups, p = 2, b = 8
+    [((512,), 10), ((2, 256), 26)],
+    ids=["z512", "z2z256"],
+)
+def test_lattice_memory_at_element_cap(moduli, count):
+    """Peak traced memory of the build stays within 3 x the addition table."""
+    mod = build_module(integer_module("m", *moduli))
+    assert mod.n == Caps().max_elements
+    tracemalloc.start()
+    try:
+        lat = SubmoduleLattice(mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.count == count
+    assert peak <= 3 * mod.add.nbytes, (peak, mod.add.nbytes)
 
 
 def test_lattice_cap():
@@ -328,6 +443,41 @@ ORACLE_MODULES = {
 }
 
 
+def _set_sum(mod, mask_a, mask_b):
+    """Mask of {a + b : a in A, b in B}, element by element."""
+    n = mod.n
+    members_a = [x for x in range(n) if mask_a >> x & 1]
+    members_b = [x for x in range(n) if mask_b >> x & 1]
+    return sum({1 << int(mod.add[a, b]) for a in members_a for b in members_b})
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        integer_module("z8z2", 8, 2),
+        integer_module("z4z2z2", 4, 2, 2),
+        matrix_ring_presentation(),
+        F2C2C2,
+    ],
+    ids=lambda pres: pres.name,
+)
+def test_join_masks_matches_set_sums(pres):
+    """join_masks against the set sum, on random pairs of submodules.
+
+    Every pair of non-cyclic submodules is added (m2f2 has none: every left
+    ideal of M2(F2) is principal).
+    """
+    mod = build_module(pres)
+    masks = [s.mask for s in enumerate_lattice(mod).subs]
+    rng = random.Random(5)
+    pairs = [(rng.choice(masks), rng.choice(masks)) for _ in range(60)]
+    cyclic = {mod.cyclic_mask(x) for x in range(mod.n)}
+    non_cyclic = [m for m in masks if m not in cyclic]
+    pairs += [(a, b) for a in non_cyclic for b in non_cyclic]
+    for a, b in pairs:
+        assert mod.join_masks(a, b) == _set_sum(mod, a, b), (pres.name, a, b)
+
+
 def _maximal_masks(masks, ids):
     """Ids in `ids` whose mask lies strictly inside no other mask of `ids`."""
     return sorted(
@@ -350,7 +500,7 @@ def test_order_queries_match_raw_masks(name):
         return masks[i] & masks[j] == masks[i]
 
     def join(i, j):
-        return lat.id_of_mask[mod.join_masks(masks[i], masks[j])]
+        return lat.id_of_mask[_set_sum(mod, masks[i], masks[j])]
 
     for i in ids:
         for j in ids:
@@ -387,3 +537,34 @@ def test_order_queries_match_raw_masks(name):
             assert g.neighbors(u) == want, (name, g.kind, u)
             for v in want_vertices:
                 assert g.adjacent(u, v) == (v in want), (name, g.kind, u, v)
+
+
+def _meets_imply_socle_scan(lat, u):
+    """Every E meeting U with U + E essential holds the socle, by scanning E."""
+    mod, masks = lat.module, [s.mask for s in lat.subs]
+    soc = masks[lat.socle_id]
+    for mask in masks:
+        if masks[u] & mask == 1:
+            continue
+        total = lat.id_of_mask[_set_sum(mod, masks[u], mask)]
+        if lat.is_essential_definitional(total) and mask & soc != soc:
+            return False
+    return True
+
+
+def _disjoints_inside_socle_scan(lat, u):
+    """Every E meeting U trivially lies inside the socle, by scanning E."""
+    soc = lat.subs[lat.socle_id].mask
+    return all(
+        s.mask & soc == s.mask for s in lat.subs if lat.subs[u].mask & s.mask == 1
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODULES))
+def test_socle_conditions_match_scans(name):
+    """The thm-2.13 socle conditions against a scan over all submodules."""
+    az = ModuleAnalysis(ORACLE_MODULES[name])
+    lat = az.lattice
+    for u in range(lat.count):
+        assert _meets_imply_socle(az, u) == _meets_imply_socle_scan(lat, u), (name, u)
+        assert _disjoints_inside_socle(az, u) == _disjoints_inside_socle_scan(lat, u), (name, u)
