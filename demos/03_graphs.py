@@ -43,13 +43,10 @@ n83 = proper_sum_essential_graph(lat83)
 center = n83.star_center()
 print("z8z3 N is a star:", n83.is_star(), " center", n83.label_of(center))
 
-# Complete multipartite recognition: the z4z3 proper graph is K(1,2).
+# A module from a spec file. Both exports are deterministic: DOT for
+# rendering, JSON for diffing.
 lat43 = enumerate_lattice(build_module(load_spec("demos/specs/z4z3.modspec")))
 n43 = proper_sum_essential_graph(lat43)
-parts = n43.complete_multipartite_parts()
-print("z4z3 N complete multipartite with part sizes", [len(p) for p in parts])
-
-# Both exports are deterministic. DOT for rendering, JSON for diffing.
 print()
 print(export_dot(n43, "z4z3_n"))
 print(export_json(n43))

@@ -7,7 +7,7 @@ variant (essential vertices removed), compute graph invariants, and check
 the structural characterizations from the theorem catalog.
 """
 
-from .analysis import ModuleAnalysis, analyze
+from .analysis import ModuleAnalysis
 from .corpus import (
     CorpusRow,
     CorpusSpec,
@@ -21,7 +21,6 @@ from .errors import (
     ActionRingCapExceeded,
     Caps,
     CapExceeded,
-    CliqueSearchCapExceeded,
     ElementCapExceeded,
     HomSearchCapExceeded,
     HypothesisNotMet,
@@ -31,14 +30,12 @@ from .errors import (
     SpecFileError,
     SumEssError,
     UnknownTheoremId,
-    UnknownVertex,
     caps_from_env,
 )
 from .graphs import (
     EssGraph,
     GraphReport,
     NPartiteWitness,
-    build_graph,
     export_dot,
     export_json,
     n_partite_witness,
@@ -64,18 +61,6 @@ from .theorems import (
     CORPUS_GATES,
     REGISTRY,
     TheoremVerdict,
-    check_complete_characterizations,
-    check_connectivity_diameter,
-    check_deg1_in_N,
-    check_deg1_in_S,
-    check_deg1_interactions,
-    check_example_degree_formula,
-    check_finiteness_conditions,
-    check_girth_n,
-    check_girth_s,
-    check_npartite,
-    check_semisimple_equalities,
-    check_trianglefree_tree_girth,
     run_catalog,
 )
 
@@ -83,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ModuleAnalysis",
-    "analyze",
     "CorpusRow",
     "CorpusSpec",
     "abelian_presentations",
@@ -94,7 +78,6 @@ __all__ = [
     "ActionRingCapExceeded",
     "Caps",
     "CapExceeded",
-    "CliqueSearchCapExceeded",
     "ElementCapExceeded",
     "HomSearchCapExceeded",
     "HypothesisNotMet",
@@ -104,12 +87,10 @@ __all__ = [
     "SpecFileError",
     "SumEssError",
     "UnknownTheoremId",
-    "UnknownVertex",
     "caps_from_env",
     "EssGraph",
     "GraphReport",
     "NPartiteWitness",
-    "build_graph",
     "export_dot",
     "export_json",
     "n_partite_witness",
@@ -135,17 +116,5 @@ __all__ = [
     "CORPUS_GATES",
     "REGISTRY",
     "TheoremVerdict",
-    "check_complete_characterizations",
-    "check_connectivity_diameter",
-    "check_deg1_in_N",
-    "check_deg1_in_S",
-    "check_deg1_interactions",
-    "check_example_degree_formula",
-    "check_finiteness_conditions",
-    "check_girth_n",
-    "check_girth_s",
-    "check_npartite",
-    "check_semisimple_equalities",
-    "check_trianglefree_tree_girth",
     "run_catalog",
 ]

@@ -6,6 +6,7 @@ are built once per module and shared.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 from .errors import Caps
 from .graphs import EssGraph, proper_sum_essential_graph, sum_essential_graph
@@ -88,6 +89,16 @@ class ModuleAnalysis:
             self._atom_classes = classes
         return self._atom_classes
 
+    @cached_property
+    def n_edge_not_strongly_disjoint(self) -> tuple[int, int] | None:
+        """The first edge of N(M) whose ends are not strongly disjoint (element
+        route), or None: one walk over the edges, shared by the checkers."""
+        lat = self.lattice
+        return next(
+            ((a, b) for a, b in self.n_graph.edges() if not lat.element_disjoint(a, b)),
+            None,
+        )
+
     def has_isomorphic_twin(self, i: int) -> bool:
         """True iff some other submodule of M is isomorphic to subs[i]."""
         lat = self.lattice
@@ -130,7 +141,3 @@ class ModuleAnalysis:
 
     def report_json(self) -> str:
         return json.dumps(self.report_dict(), indent=2) + "\n"
-
-
-def analyze(source: ModulePresentation | FiniteModule, caps: Caps | None = None) -> ModuleAnalysis:
-    return ModuleAnalysis(source, caps)

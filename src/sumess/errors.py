@@ -41,14 +41,6 @@ class LatticeCapExceeded(CapExceeded):
     pass
 
 
-class CliqueSearchCapExceeded(CapExceeded):
-    pass
-
-
-class UnknownVertex(SumEssError):
-    """Submodule id is not a vertex of the graph at hand."""
-
-
 class UnknownTheoremId(SumEssError):
     """Theorem id is not registered in the catalog."""
 
@@ -75,7 +67,6 @@ class Caps:
     max_action_ring: int = 65536
     max_hom_search: int = 1_000_000
     max_lattice: int = 100_000
-    max_clique_nodes: int = 1_000_000
 
 
 _CAP_KEYS = {
@@ -83,7 +74,6 @@ _CAP_KEYS = {
     "action_ring": "max_action_ring",
     "hom_search": "max_hom_search",
     "lattice": "max_lattice",
-    "clique": "max_clique_nodes",
 }
 
 
@@ -91,7 +81,7 @@ def caps_from_env(base: Caps | None = None, env: str | None = None) -> Caps:
     """Parse the SUMESS_CAPS override string.
 
     Format: comma-separated ``key=value`` pairs with keys elements,
-    action_ring, hom_search, lattice, clique. Unknown keys raise ValueError.
+    action_ring, hom_search, lattice. Unknown keys raise ValueError.
     """
     caps = base or Caps()
     raw = env if env is not None else os.environ.get("SUMESS_CAPS", "")

@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CliqueSearchCapExceeded, HypothesisNotMet
+from .errors import HypothesisNotMet
 from .lattice import SubmoduleLattice, _iter_bits
 
 INF = math.inf
@@ -267,39 +267,6 @@ class EssGraph:
             group |= 1 << self.pos_of[lid]
         return not any(self.rows[p] & group for p in _iter_bits(group))
 
-    def find_clique(self, size: int, max_nodes: int = 1_000_000) -> list[int] | None:
-        """Search for a clique of the given size; None if there is none.
-
-        Plain DFS over candidate sets kept as bitmasks. Raises
-        CliqueSearchCapExceeded when the node budget runs out.
-        """
-        if size <= 0:
-            return []
-        nodes = 0
-
-        def grow(chosen: list[int], cand: int) -> list[int] | None:
-            nonlocal nodes
-            if len(chosen) == size:
-                return chosen
-            if len(chosen) + cand.bit_count() < size:
-                return None
-            nodes += 1
-            if nodes > max_nodes:
-                raise CliqueSearchCapExceeded(
-                    f"clique search exceeded {max_nodes} nodes"
-                )
-            m = cand
-            for p in _iter_bits(m):
-                got = grow(chosen + [p], cand & self.rows[p] & (self.full_mask << (p + 1)))
-                if got is not None:
-                    return got
-            return None
-
-        got = grow([], self.full_mask)
-        if got is None:
-            return None
-        return [self.vertex_ids[p] for p in got]
-
     def complement_components(self) -> list[list[int]]:
         """Vertex classes of the complement graph, as lattice-id lists."""
         comp_rows = [
@@ -323,30 +290,6 @@ class EssGraph:
                 frontier = nxt
             out.append([self.vertex_ids[q] for q in _iter_bits(group)])
         return out
-
-    def complete_multipartite_parts(self) -> list[list[int]] | None:
-        """Partition into independent classes with all cross edges, or None.
-
-        Such a partition exists iff non-adjacency is transitive; the classes
-        are then the complement's components.
-        """
-        parts = self.complement_components()
-        pos_parts = [[self.pos_of[lid] for lid in part] for part in parts]
-        part_of = {}
-        for k, ps in enumerate(pos_parts):
-            for p in ps:
-                part_of[p] = k
-        for p in range(self.n_vertices):
-            r = self.rows[p]
-            for q in _iter_bits(r):
-                if part_of[p] == part_of[q]:
-                    return None
-            want = self.full_mask
-            for s in pos_parts[part_of[p]]:
-                want &= ~(1 << s)
-            if r != want:
-                return None
-        return parts
 
     # -- reporting ---------------------------------------------------------------
 
@@ -504,13 +447,6 @@ def n_partite_witness(lattice: SubmoduleLattice, s_graph: EssGraph) -> NPartiteW
         "clique", None, members, ok,
         f"{n + 1}-clique over the maximal submodules" if ok else "witness set not a clique",
     )
-
-
-def build_graph(lattice: SubmoduleLattice, kind: str) -> EssGraph:
-    key = {"s": "s", "full": "s", "n": "n", "proper": "n"}.get(kind)
-    if key is None:
-        raise ValueError(f"unknown graph kind {kind!r}")
-    return EssGraph(lattice, key)
 
 
 def sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:

@@ -78,12 +78,6 @@ def _mask_from_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def mask_from_indices(indices, n: int) -> int:
-    bits = np.zeros(n, dtype=np.uint8)
-    bits[np.asarray(indices, dtype=np.int64)] = 1
-    return _mask_from_bits(bits)
-
-
 def bits_from_mask(mask: int, n: int) -> np.ndarray:
     """Boolean membership vector of length n."""
     raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
@@ -280,11 +274,6 @@ class FiniteModule:
         idx = self.encode(coords)
         return Element(self.decode(idx), idx)
 
-    def element_at(self, index: int) -> Element:
-        if not 0 <= index < self.n:
-            raise ValueError(f"element index {index} out of range [0,{self.n})")
-        return Element(self.decode(index), index)
-
     def _as_index(self, m) -> int:
         if isinstance(m, Element):
             return m.index
@@ -321,9 +310,6 @@ class FiniteModule:
 
     def submodule_from_mask(self, mask: int) -> Submodule:
         return Submodule(self, mask)
-
-    def zero_submodule(self) -> Submodule:
-        return Submodule(self, 1)
 
     def full_submodule(self) -> Submodule:
         return Submodule(self, (1 << self.n) - 1)

@@ -5,6 +5,11 @@ concrete finite module and reports agreement as a TheoremVerdict. Checkers
 never raise on unmet hypotheses; they return an inapplicable verdict, so a
 catalog run over a corpus always completes.
 
+Each numbered statement is defined once, as its own checker. The composite
+suites `deg1-S`, `deg1-interactions`, `complete` and `trianglefree` are
+ordered tuples of parts: numbered statements plus a few local sides, each
+giving one side of the composite (see `_composite`).
+
 Catalog keys are stable strings used by the command line (`verify`) and the
 corpus CSV. `run_catalog(analysis, "all")` runs the nine composite suites.
 """
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 
 from .analysis import ModuleAnalysis
 from .errors import HypothesisNotMet, UnknownTheoremId
-from .graphs import n_partite_witness
+from .graphs import EssGraph, n_partite_witness
+from .lattice import SubmoduleLattice
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,28 @@ def _equivalent(tid: str, sides: dict[str, bool], witness: str | None = None) ->
 
 def _auto_witness(sides: dict[str, bool]) -> str:
     return "sides disagree: " + ", ".join(f"{k}={v}" for k, v in sides.items())
+
+
+def _composite(tid: str, az: ModuleAnalysis, parts) -> TheoremVerdict:
+    """Assert the parts of a composite in order.
+
+    A part is (side, check): the side holds when check's verdict passes or
+    does not apply. A side of None splices in the verdict's own sides, for
+    an assertion-style statement whose sides are the composite's. The
+    witness is the first failing part's.
+    """
+    sides: dict[str, bool] = {}
+    witness = None
+    for side, check in parts:
+        v = check(az)
+        failed = v.applicable and not v.passed
+        if side is None:
+            sides.update(v.sides)
+        else:
+            sides[side] = not failed
+        if failed and witness is None:
+            witness = v.witness
+    return _asserted(tid, sides, witness)
 
 
 def _lbl(az: ModuleAnalysis, i: int) -> str:
@@ -105,48 +133,350 @@ def _socle_meet_unique_complement(az: ModuleAnalysis, u: int) -> bool:
     return len(lat.complements_within(s, lat.socle_id)) == 1
 
 
-def _two_simple_socle(az: ModuleAnalysis) -> bool:
-    """socle = S1 (+) S2 for distinct simple S1, S2, and essential."""
+def _atom_pair(az: ModuleAnalysis, top: int) -> tuple[int, int] | None:
+    """The first two simple submodules summing to subs[top], or None.
+
+    Distinct simples meet in zero, so such a sum is direct.
+    """
     lat = az.lattice
-    atoms = lat.atoms
+    atoms = lat.atoms_below(top)
     for i, a in enumerate(atoms):
         for b in atoms[i + 1 :]:
-            if lat.meet(a, b) == lat.zero_id and lat.join(a, b) == lat.socle_id:
-                return lat.is_essential(lat.socle_id)
-    return False
+            if lat.join(a, b) == top:
+                return a, b
+    return None
 
 
-def _two_simple_module(az: ModuleAnalysis, require_noniso: bool = False) -> bool:
-    """M itself is a direct sum of two simples (optionally non-isomorphic)."""
+def _simple_nonessentials_two_simple_socle(az: ModuleAnalysis) -> bool:
+    """Every non-essential nonzero submodule is simple, and the socle is a
+    sum of two simples."""
     lat = az.lattice
-    atoms = lat.atoms
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1 :]:
-            if lat.meet(a, b) == lat.zero_id and lat.join(a, b) == lat.full_id:
-                if not require_noniso or not az.iso(a, b):
-                    return True
-    return False
+    nonessential = lat.down[lat.full_id] & ~(1 << lat.zero_id) & ~lat.up[lat.socle_id]
+    return not (nonessential & ~lat.atom_mask) and _atom_pair(az, lat.socle_id) is not None
 
 
-def _adjacent_pairs_sd(az: ModuleAnalysis) -> tuple[bool, str | None]:
-    """All adjacent pairs of the proper graph strongly disjoint (element route)."""
-    lat, g = az.lattice, az.n_graph
-    for a, b in g.edges():
-        if not lat.element_disjoint(a, b):
-            return False, f"adjacent pair {_lbl(az, a)}, {_lbl(az, b)} not strongly disjoint"
-    return True, None
+def _is_atom(lat: SubmoduleLattice, i: int) -> bool:
+    return bool(lat.atom_mask >> i & 1)
 
 
-def _adjacent_pairs_sd_with_simple(az: ModuleAnalysis) -> tuple[bool, str | None]:
-    lat, g = az.lattice, az.n_graph
-    atoms = set(lat.atoms)
-    for a, b in g.edges():
-        if not lat.element_disjoint(a, b) or (a not in atoms and b not in atoms):
-            return False, f"pair {_lbl(az, a)}, {_lbl(az, b)} violates"
-    return True, None
+def _degree_one(g: EssGraph) -> list[int]:
+    return [v for v in g.vertex_ids if g.degree(v) == 1]
 
 
-# -- composite checkers ----------------------------------------------------------
+def _short_chain(az: ModuleAnalysis) -> bool:
+    lat = az.lattice
+    return lat.is_chain() and len(lat.nontrivial_ids()) == 2
+
+
+# -- corpus gates ------------------------------------------------------------------
+
+
+def check_connectivity_diameter(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-1.5"
+    s, n = az.s_graph, az.n_graph
+    if s.n_vertices == 0:
+        return _inapplicable(tid, "module is simple, no vertices")
+    sides = {
+        "s_connected": s.is_connected(),
+        "s_diameter_le_3": s.diameter() <= 3,
+        "n_connected": n.is_connected(),
+        "n_diameter_le_3": n.n_vertices == 0 or n.diameter() <= 3,
+    }
+    return _asserted(
+        tid, sides, f"diameter(S)={s.diameter()}, diameter(N)={n.diameter() if n.n_vertices else 'empty'}"
+    )
+
+
+def check_girth_s(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-girth-S"
+    s = az.s_graph
+    if s.n_vertices == 0:
+        return _inapplicable(tid, "module is simple, no vertices")
+    g = s.girth()
+    return _asserted(tid, {"girth_in_3_inf": g == 3 or math.isinf(g)}, f"girth(S)={g}")
+
+
+def check_girth_n(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-girth-N"
+    n = az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    g = n.girth()
+    return _asserted(
+        tid, {"girth_in_3_4_inf": g in (3, 4) or math.isinf(g)}, f"girth(N)={g}"
+    )
+
+
+# -- numbered statements (also run alone by `verify`) -------------------------------
+
+
+def _check_thm_3_7(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-3.7"
+    lat, s = az.lattice, az.s_graph
+    if s.n_vertices < 2:
+        return _inapplicable(tid, "full graph has fewer than two vertices")
+    # by Krull-Schmidt every decomposition into two simples has the same
+    # isomorphism types, so the first pair decides
+    pair = _atom_pair(az, lat.full_id)
+    sides = {
+        "triangle_free": s.triangle_free(),
+        "is_k2": s.n_vertices == 2 and s.n_edges() == 1,
+        "two_nonisomorphic_simples_or_short_chain": (
+            pair is not None and not az.iso(*pair)
+        )
+        or _short_chain(az),
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_thm_3_11(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-3.11"
+    lat, n = az.lattice, az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    bad = az.n_edge_not_strongly_disjoint
+    sd_all = bad is None
+    sides = {
+        "triangle_free": n.triangle_free(),
+        "udim2_and_strongly_disjoint": lat.uniform_dimension() == 2 and sd_all,
+        "strongly_disjoint": sd_all,
+    }
+    wit = None
+    if not sd_all:
+        wit = f"adjacent pair {_lbl(az, bad[0])}, {_lbl(az, bad[1])} not strongly disjoint"
+    return _equivalent(tid, sides, wit)
+
+
+def _check_thm_3_12(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-3.12"
+    lat, n = az.lattice, az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    # every edge strongly disjoint with a simple end: the non-simple
+    # vertices are independent
+    non_simple = [v for v in n.vertex_ids if not _is_atom(lat, v)]
+    sides = {
+        "is_tree": n.is_tree(),
+        "strongly_disjoint_with_simple_side": az.n_edge_not_strongly_disjoint is None
+        and n.is_independent_set(non_simple),
+        "star_with_simple_center": n.is_star()
+        and any(_is_atom(lat, c) for c in n.star_centers()),
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_thm_3_2(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-3.2"
+    lat, s = az.lattice, az.s_graph
+    if az.is_simple_module:
+        return _inapplicable(tid, "module is simple, no vertices")
+    sides = {
+        "is_complete": s.is_complete(),
+        "uniform_or_simple_nonessentials_with_two_simple_socle": lat.is_uniform_module()
+        or _simple_nonessentials_two_simple_socle(az),
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_cor_3_4(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "cor-3.4"
+    lat, n = az.lattice, az.n_graph
+    if not lat.is_semisimple() or az.is_simple_module:
+        return _inapplicable(tid, "module not semisimple or simple")
+    sides = {
+        "proper_graph_complete": n.is_complete() and n.n_vertices > 0,
+        "has_universal_vertex": bool(n.universal_vertices()),
+        "two_simple_summands": _atom_pair(az, lat.full_id) is not None,
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_thm_3_6(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-3.6"
+    s = az.s_graph
+    if az.is_simple_module:
+        return _inapplicable(tid, "module is simple, no vertices")
+    k = s.k_regular()
+    sides = {
+        "k_regular": k is not None,
+        "complete_with_k_plus_1_vertices": s.is_complete()
+        and (k is None or s.n_vertices == k + 1),
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_prop_2_5(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "prop-2.5"
+    lat, s = az.lattice, az.s_graph
+    if not lat.is_semisimple() or az.is_simple_module:
+        return _inapplicable(tid, "module not semisimple or simple")
+    for b in s.vertex_ids:
+        s1 = s.degree(b) == 1
+        comps = lat.complements_of(b)
+        s2 = _is_atom(lat, b) and len(comps) == 1 and comps[0] != lat.zero_id
+        s3 = _is_atom(lat, b) and not az.has_isomorphic_twin(b)
+        if not (s1 == s2 == s3):
+            return _equivalent(
+                tid,
+                {"degree_one": s1, "unique_nonzero_complement": s2, "no_isomorphic_twin": s3},
+                f"vertex {_lbl(az, b)}",
+            )
+    return _asserted(tid, {"all_vertices_agree": True}, None)
+
+
+def _check_cor_2_7(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "cor-2.7"
+    lat, s = az.lattice, az.s_graph
+    if az.is_simple_module:
+        return _inapplicable(tid, "module is simple, no vertices")
+    sides = {
+        "has_degree_one_vertex": bool(_degree_one(s)),
+        "multiplicity_free_simple_or_short_chain": (
+            lat.is_semisimple()
+            and any(not az.has_isomorphic_twin(a) for a in lat.atoms if a != lat.full_id)
+        )
+        or _short_chain(az),
+    }
+    return _equivalent(tid, sides)
+
+
+def _check_prop_2_17(az: ModuleAnalysis) -> TheoremVerdict:
+    """Pairs of degree-1 vertices of N(M): disjoint ones are non-isomorphic
+    simples, meeting ones sum to a degree-1 vertex, and an essential sum is
+    the socle of two non-isomorphic simples."""
+    tid = "prop-2.17"
+    lat, n = az.lattice, az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    deg1 = _degree_one(n)
+    disjoint = meeting = essential = None  # the first failing pair of each side
+    for i, a in enumerate(deg1):
+        for b in deg1[i + 1 :]:
+            j = lat.join(a, b)
+            simples = _is_atom(lat, a) and _is_atom(lat, b) and not az.iso(a, b)
+            if lat.meet(a, b) == lat.zero_id:
+                if not simples:
+                    disjoint = disjoint or (a, b)
+            elif not (n.has_vertex(j) and n.degree(j) == 1):
+                meeting = meeting or (a, b)
+            if lat.is_essential(j) and not (simples and j == lat.socle_id):
+                essential = essential or (a, b)
+    sides = {
+        "disjoint_pairs_are_nonisomorphic_simples": disjoint is None,
+        "meeting_pairs_sum_to_degree_one": meeting is None,
+        "essential_sums_are_socle": essential is None,
+    }
+    witness = None
+    if disjoint:
+        witness = f"disjoint degree-1 pair {_lbl(az, disjoint[0])}, {_lbl(az, disjoint[1])}"
+    elif meeting:
+        witness = f"meeting degree-1 pair {_lbl(az, meeting[0])}, {_lbl(az, meeting[1])}: sum degree not 1"
+    elif essential:
+        witness = f"essential-sum degree-1 pair {_lbl(az, essential[0])}, {_lbl(az, essential[1])}"
+    return _asserted(tid, sides, witness)
+
+
+def _check_thm_2_18(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "thm-2.18"
+    lat, n = az.lattice, az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    deg1 = _degree_one(n)
+    ok = True
+    if not all(_is_atom(lat, v) for v in deg1):
+        largest = [v for v in deg1 if all(lat.leq(w, v) for w in deg1)]
+        ok = len(largest) == 1
+    return _asserted(
+        tid,
+        {"all_simple_or_unique_largest": ok},
+        "no unique largest degree-1 vertex despite a non-simple one",
+    )
+
+
+def _check_cor_2_11(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "cor-2.11"
+    lat, n = az.lattice, az.n_graph
+    if n.n_vertices == 0:
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    ok = all(lat.down[v] & lat.atom_mask for v in _degree_one(n))
+    return _asserted(
+        tid, {"degree_one_contains_simple": ok}, "a degree-1 vertex contains no simple submodule"
+    )
+
+
+# -- local sides of the composites -----------------------------------------------------
+
+
+def _degree_one_shape(az: ModuleAnalysis) -> TheoremVerdict:
+    """A degree-1 vertex of S(M) is simple, or one of two vertices with a
+    simple one below it."""
+    tid = "shape"
+    lat, s = az.lattice, az.s_graph
+    for b in _degree_one(s):
+        if _is_atom(lat, b):
+            continue
+        if not (s.n_vertices == 2 and any(s.has_vertex(a) for a in lat.atoms_below(b))):
+            return _asserted(
+                tid,
+                {"degree_one_shape": False},
+                f"degree-1 vertex {_lbl(az, b)} is neither simple nor half of a 2-vertex graph",
+            )
+    return _asserted(tid, {"degree_one_shape": True}, None)
+
+
+def _semisimple_complete(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "semisimple-complete"
+    lat = az.lattice
+    if not lat.is_semisimple():
+        return _inapplicable(tid, "module not semisimple")
+    sides = {
+        "is_complete": az.s_graph.is_complete(),
+        "two_simple_summands": _atom_pair(az, lat.full_id) is not None,
+    }
+    return _equivalent(tid, sides)
+
+
+def _proper_complete(az: ModuleAnalysis) -> TheoremVerdict:
+    tid = "proper-complete"
+    if az.lattice.is_uniform_module():
+        return _inapplicable(tid, "proper graph empty (module is uniform)")
+    sides = {
+        "proper_graph_complete": az.n_graph.is_complete(),
+        "simple_nonessentials_with_two_simple_socle": _simple_nonessentials_two_simple_socle(az),
+        "full_graph_complete": az.s_graph.is_complete(),
+    }
+    return _equivalent(tid, sides)
+
+
+def _hom_count(az: ModuleAnalysis) -> TheoremVerdict:
+    """M = S1 (+) S2 with simple S1, S2: both graphs have |Hom(S1, S2)| + 1
+    vertices."""
+    tid = "hom-count"
+    s, n = az.s_graph, az.n_graph
+    pair = _atom_pair(az, az.lattice.full_id)
+    if pair is None:
+        return _inapplicable(tid, "module not a sum of two simples")
+    want = az.homs(*pair) + 1
+    return _asserted(
+        tid,
+        {"vertex_count_is_hom_count_plus_one": s.n_vertices == want and n.n_vertices == want},
+        f"|V| = {s.n_vertices}, hom count predicts {want}",
+    )
+
+
+def _universal_simple(az: ModuleAnalysis) -> TheoremVerdict:
+    lat = az.lattice
+    ok = all(
+        lat.is_essential(v) or _is_atom(lat, v) for v in az.s_graph.universal_vertices()
+    )
+    return _asserted(
+        "universal-simple",
+        {"nonessential_universal_vertices_simple": ok},
+        "a nonessential universal vertex is not simple",
+    )
+
+
+# -- catalog checkers ----------------------------------------------------------------
 
 
 def check_semisimple_equalities(az: ModuleAnalysis) -> TheoremVerdict:
@@ -204,63 +534,18 @@ def check_example_degree_formula(az: ModuleAnalysis) -> TheoremVerdict:
     return _asserted(tid, sides, witness)
 
 
+_DEG1_S_PARTS = (
+    ("degree_one_shape", _degree_one_shape),
+    ("semisimple_three_way", _check_prop_2_5),
+    ("degree_one_dichotomy", _check_cor_2_7),
+)
+
+
 def check_deg1_in_S(az: ModuleAnalysis) -> TheoremVerdict:
     """Degree-1 vertices of the full graph: shape, semisimple case, dichotomy."""
-    tid = "deg1-S"
     if az.is_simple_module:
-        return _inapplicable(tid, "module is simple, no vertices")
-    lat, s = az.lattice, az.s_graph
-    atoms = set(lat.atoms)
-    witness = None
-
-    shape_ok = True
-    for b in s.vertex_ids:
-        if s.degree(b) != 1:
-            continue
-        if b in atoms:
-            continue
-        inner = [a for a in lat.atoms if lat.leq(a, b)]
-        if not (
-            len(s.vertex_ids) == 2
-            and any(a != b and a in s.vertex_ids for a in inner)
-        ):
-            shape_ok = False
-            witness = f"degree-1 vertex {_lbl(az, b)} is neither simple nor half of a 2-vertex graph"
-            break
-
-    threeway_ok = True
-    if lat.is_semisimple():
-        for b in s.vertex_ids:
-            s1 = s.degree(b) == 1
-            comps = lat.complements_of(b)
-            s2 = b in atoms and len(comps) == 1 and comps[0] != lat.zero_id
-            s3 = b in atoms and not az.is_simple_module and not az.has_isomorphic_twin(b)
-            if not (s1 == s2 == s3):
-                threeway_ok = False
-                witness = (
-                    f"vertex {_lbl(az, b)}: degree_one={s1}, "
-                    f"unique_nonzero_complement={s2}, no_isomorphic_twin={s3}"
-                )
-                break
-
-    has_deg1 = any(s.degree(v) == 1 for v in s.vertex_ids)
-    semis_branch = lat.is_semisimple() and any(
-        not az.has_isomorphic_twin(a) for a in lat.atoms if a != lat.full_id
-    )
-    chain_branch = lat.is_chain() and len(lat.nontrivial_ids()) == 2
-    dichotomy_ok = has_deg1 == (semis_branch or chain_branch)
-    if not dichotomy_ok and witness is None:
-        witness = (
-            f"has_degree_one={has_deg1} but semisimple_branch={semis_branch}, "
-            f"chain_branch={chain_branch}"
-        )
-
-    sides = {
-        "degree_one_shape": shape_ok,
-        "semisimple_three_way": threeway_ok,
-        "degree_one_dichotomy": dichotomy_ok,
-    }
-    return _asserted(tid, sides, witness)
+        return _inapplicable("deg1-S", "module is simple, no vertices")
+    return _composite("deg1-S", az, _DEG1_S_PARTS)
 
 
 def check_deg1_in_N(az: ModuleAnalysis) -> TheoremVerdict:
@@ -349,196 +634,54 @@ def check_deg1_in_N(az: ModuleAnalysis) -> TheoremVerdict:
     return _asserted(tid, sides, witness)
 
 
+_DEG1_INTERACTIONS_PARTS = (
+    (None, _check_prop_2_17),
+    ("all_simple_or_unique_largest", _check_thm_2_18),
+    ("degree_one_contains_simple", _check_cor_2_11),
+)
+
+
 def check_deg1_interactions(az: ModuleAnalysis) -> TheoremVerdict:
     """How degree-1 vertices of the proper graph interact pairwise/globally."""
-    tid = "deg1-interactions"
-    lat, n = az.lattice, az.n_graph
-    if n.n_vertices == 0:
-        return _inapplicable(tid, "proper graph empty (module is uniform)")
-    deg1 = [v for v in n.vertex_ids if n.degree(v) == 1]
-    atoms = set(lat.atoms)
-    witness = None
+    if az.n_graph.n_vertices == 0:
+        return _inapplicable("deg1-interactions", "proper graph empty (module is uniform)")
+    return _composite("deg1-interactions", az, _DEG1_INTERACTIONS_PARTS)
 
-    disjoint_ok = meeting_ok = essential_ok = True
-    for i, a in enumerate(deg1):
-        for b in deg1[i + 1 :]:
-            j = lat.join(a, b)
-            if lat.meet(a, b) == lat.zero_id:
-                if not (a in atoms and b in atoms and not az.iso(a, b)):
-                    disjoint_ok = False
-                    witness = f"disjoint degree-1 pair {_lbl(az, a)}, {_lbl(az, b)}"
-            else:
-                if not (n.has_vertex(j) and n.degree(j) == 1):
-                    meeting_ok = False
-                    witness = f"meeting degree-1 pair {_lbl(az, a)}, {_lbl(az, b)}: sum degree not 1"
-            if lat.is_essential(j):
-                if not (
-                    a in atoms
-                    and b in atoms
-                    and not az.iso(a, b)
-                    and j == lat.socle_id
-                ):
-                    essential_ok = False
-                    witness = f"essential-sum degree-1 pair {_lbl(az, a)}, {_lbl(az, b)}"
 
-    largest_ok = True
-    if deg1 and not all(v in atoms for v in deg1):
-        largest = [v for v in deg1 if all(lat.leq(w, v) for w in deg1)]
-        largest_ok = len(largest) == 1
-        if not largest_ok:
-            witness = "no unique largest degree-1 vertex despite a non-simple one"
-
-    contain_ok = all(any(lat.leq(a, v) for a in lat.atoms) for v in deg1)
-    if not contain_ok and witness is None:
-        witness = "a degree-1 vertex contains no simple submodule"
-
-    sides = {
-        "disjoint_pairs_are_nonisomorphic_simples": disjoint_ok,
-        "meeting_pairs_sum_to_degree_one": meeting_ok,
-        "essential_sums_are_socle": essential_ok,
-        "all_simple_or_unique_largest": largest_ok,
-        "degree_one_contains_simple": contain_ok,
-    }
-    return _asserted(tid, sides, witness)
+_COMPLETE_PARTS = (
+    ("complete_iff_uniform_or_two_simple_socle", _check_thm_3_2),
+    ("semisimple_complete_iff_two_simples", _semisimple_complete),
+    ("proper_graph_complete_iff_same", _proper_complete),
+    ("semisimple_universal_equivalence", _check_cor_3_4),
+    ("vertex_count_is_hom_count_plus_one", _hom_count),
+    ("k_regular_iff_complete", _check_thm_3_6),
+    ("nonessential_universal_vertices_simple", _universal_simple),
+)
 
 
 def check_complete_characterizations(az: ModuleAnalysis) -> TheoremVerdict:
     """Complete/k-regular characterizations of both graphs."""
-    tid = "complete"
     if az.is_simple_module:
-        return _inapplicable(tid, "module is simple, no vertices")
-    lat, s, n = az.lattice, az.s_graph, az.n_graph
-    witness = None
+        return _inapplicable("complete", "module is simple, no vertices")
+    return _composite("complete", az, _COMPLETE_PARTS)
 
-    complete_s = s.is_complete()
-    all_nonessential_simple = all(
-        lat.is_essential(i) or i in set(lat.atoms)
-        for i in range(lat.count)
-        if i != lat.zero_id
-    )
-    structure = lat.is_uniform_module() or (
-        all_nonessential_simple and _two_simple_socle(az)
-    )
-    thm_complete = complete_s == structure
-    if not thm_complete:
-        witness = f"complete(S)={complete_s} but structural side={structure}"
 
-    semis_complete = True
-    if lat.is_semisimple():
-        semis_complete = complete_s == _two_simple_module(az)
-        if not semis_complete and witness is None:
-            witness = "semisimple completeness mismatch"
-
-    proper_iff = True
-    if not lat.is_uniform_module():
-        cond = all_nonessential_simple and _two_simple_socle(az)
-        proper_iff = (n.is_complete() == cond) and (n.is_complete() == complete_s)
-        if not proper_iff and witness is None:
-            witness = f"complete(N)={n.is_complete()}, structural={cond}, complete(S)={complete_s}"
-
-    universal_equiv = True
-    hom_count_ok = True
-    if lat.is_semisimple():
-        a_side = n.is_complete()
-        b_side = bool(n.universal_vertices())
-        c_side = _two_simple_module(az)
-        universal_equiv = a_side == b_side == c_side
-        if not universal_equiv and witness is None:
-            witness = (
-                f"complete(N)={a_side}, universal_vertex={b_side}, two_simples={c_side}"
-            )
-        if c_side:
-            pair = None
-            for i, a in enumerate(lat.atoms):
-                for b in lat.atoms[i + 1 :]:
-                    if lat.meet(a, b) == lat.zero_id and lat.join(a, b) == lat.full_id:
-                        pair = (a, b)
-                        break
-                if pair:
-                    break
-            want = az.homs(pair[0], pair[1]) + 1
-            hom_count_ok = s.n_vertices == want and n.n_vertices == want
-            if not hom_count_ok and witness is None:
-                witness = f"|V| = {s.n_vertices}, hom count predicts {want}"
-
-    k = s.k_regular()
-    regular_iff = (k is not None) == complete_s and (
-        k is None or k == s.n_vertices - 1
-    )
-    if not regular_iff and witness is None:
-        witness = f"k_regular={k}, complete(S)={complete_s}, |V|={s.n_vertices}"
-
-    universal_atoms = all(
-        lat.is_essential(v) or v in set(lat.atoms) for v in s.universal_vertices()
-    )
-    if not universal_atoms and witness is None:
-        witness = "a nonessential universal vertex is not simple"
-
-    sides = {
-        "complete_iff_uniform_or_two_simple_socle": thm_complete,
-        "semisimple_complete_iff_two_simples": semis_complete,
-        "proper_graph_complete_iff_same": proper_iff,
-        "semisimple_universal_equivalence": universal_equiv,
-        "vertex_count_is_hom_count_plus_one": hom_count_ok,
-        "k_regular_iff_complete": regular_iff,
-        "nonessential_universal_vertices_simple": universal_atoms,
-    }
-    return _asserted(tid, sides, witness)
+_TRIANGLEFREE_PARTS = (
+    ("s_trianglefree_iff_k2", _check_thm_3_7),
+    ("n_trianglefree_iff_strongly_disjoint", _check_thm_3_11),
+    ("n_tree_iff_star_with_simple_center", _check_thm_3_12),
+    ("s_girth_in_3_inf", check_girth_s),
+    ("n_girth_in_3_4_inf", check_girth_n),
+)
 
 
 def check_trianglefree_tree_girth(az: ModuleAnalysis) -> TheoremVerdict:
     """Triangle-free and tree characterizations plus girth membership."""
-    tid = "trianglefree"
-    lat, s, n = az.lattice, az.s_graph, az.n_graph
-    if s.n_vertices < 2 and n.n_vertices == 0:
-        return _inapplicable(tid, "full graph below two vertices and proper graph empty")
-    witness = None
-
-    s_equiv = True
-    if s.n_vertices >= 2:
-        tf = s.triangle_free()
-        is_k2 = s.n_vertices == 2 and s.n_edges() == 1
-        structure = _two_simple_module(az, require_noniso=True) or (
-            lat.is_chain() and len(lat.nontrivial_ids()) == 2
+    if az.s_graph.n_vertices < 2 and az.n_graph.n_vertices == 0:
+        return _inapplicable(
+            "trianglefree", "full graph below two vertices and proper graph empty"
         )
-        s_equiv = tf == is_k2 == structure
-        if not s_equiv:
-            witness = f"triangle_free(S)={tf}, K2={is_k2}, structure={structure}"
-
-    n_equiv = True
-    tree_equiv = True
-    if n.n_vertices:
-        sd_all, sd_wit = _adjacent_pairs_sd(az)
-        tf_n = n.triangle_free()
-        two_dim = lat.uniform_dimension() == 2
-        n_equiv = tf_n == (two_dim and sd_all) == sd_all
-        if not n_equiv and witness is None:
-            witness = sd_wit or f"triangle_free(N)={tf_n}, udim2={two_dim}, sd={sd_all}"
-
-        sd_simple, sds_wit = _adjacent_pairs_sd_with_simple(az)
-        tree = n.is_tree()
-        star_atom = n.is_star() and any(
-            c in set(lat.atoms) for c in n.star_centers()
-        )
-        tree_equiv = tree == sd_simple == star_atom
-        if not tree_equiv and witness is None:
-            witness = sds_wit or f"tree={tree}, sd_with_simple={sd_simple}, star_atom_center={star_atom}"
-
-    g_s = s.girth()
-    s_girth_ok = g_s == 3 or math.isinf(g_s)
-    g_n = n.girth()
-    n_girth_ok = g_n in (3, 4) or math.isinf(g_n)
-    if not (s_girth_ok and n_girth_ok) and witness is None:
-        witness = f"girth(S)={g_s}, girth(N)={g_n}"
-
-    sides = {
-        "s_trianglefree_iff_k2": s_equiv,
-        "n_trianglefree_iff_strongly_disjoint": n_equiv,
-        "n_tree_iff_star_with_simple_center": tree_equiv,
-        "s_girth_in_3_inf": s_girth_ok,
-        "n_girth_in_3_4_inf": n_girth_ok,
-    }
-    return _asserted(tid, sides, witness)
+    return _composite("trianglefree", az, _TRIANGLEFREE_PARTS)
 
 
 def check_npartite(az: ModuleAnalysis) -> TheoremVerdict:
@@ -587,207 +730,6 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
         "condition_four_branch": branch,
     }
     return _asserted(tid, sides, witness)
-
-
-# -- corpus gates ------------------------------------------------------------------
-
-
-def check_connectivity_diameter(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-1.5"
-    s, n = az.s_graph, az.n_graph
-    if s.n_vertices == 0:
-        return _inapplicable(tid, "module is simple, no vertices")
-    sides = {
-        "s_connected": s.is_connected(),
-        "s_diameter_le_3": s.diameter() <= 3,
-        "n_connected": n.is_connected(),
-        "n_diameter_le_3": n.n_vertices == 0 or n.diameter() <= 3,
-    }
-    return _asserted(
-        tid, sides, f"diameter(S)={s.diameter()}, diameter(N)={n.diameter() if n.n_vertices else 'empty'}"
-    )
-
-
-def check_girth_s(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-girth-S"
-    s = az.s_graph
-    if s.n_vertices == 0:
-        return _inapplicable(tid, "module is simple, no vertices")
-    g = s.girth()
-    return _asserted(tid, {"girth_in_3_inf": g == 3 or math.isinf(g)}, f"girth(S)={g}")
-
-
-def check_girth_n(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-girth-N"
-    n = az.n_graph
-    if n.n_vertices == 0:
-        return _inapplicable(tid, "proper graph empty (module is uniform)")
-    g = n.girth()
-    return _asserted(
-        tid, {"girth_in_3_4_inf": g in (3, 4) or math.isinf(g)}, f"girth(N)={g}"
-    )
-
-
-# -- fine-grained checkers (single statements, for `verify`) -------------------------
-
-
-def _check_thm_3_7(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-3.7"
-    lat, s = az.lattice, az.s_graph
-    if s.n_vertices < 2:
-        return _inapplicable(tid, "full graph has fewer than two vertices")
-    sides = {
-        "triangle_free": s.triangle_free(),
-        "is_k2": s.n_vertices == 2 and s.n_edges() == 1,
-        "two_nonisomorphic_simples_or_short_chain": _two_simple_module(
-            az, require_noniso=True
-        )
-        or (lat.is_chain() and len(lat.nontrivial_ids()) == 2),
-    }
-    return _equivalent(tid, sides)
-
-
-def _check_thm_3_11(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-3.11"
-    lat, n = az.lattice, az.n_graph
-    if n.n_vertices == 0:
-        return _inapplicable(tid, "proper graph empty (module is uniform)")
-    sd_all, wit = _adjacent_pairs_sd(az)
-    sides = {
-        "triangle_free": n.triangle_free(),
-        "udim2_and_strongly_disjoint": lat.uniform_dimension() == 2 and sd_all,
-        "strongly_disjoint": sd_all,
-    }
-    return _equivalent(tid, sides, wit)
-
-
-def _check_thm_3_12(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-3.12"
-    lat, n = az.lattice, az.n_graph
-    if n.n_vertices == 0:
-        return _inapplicable(tid, "proper graph empty (module is uniform)")
-    sd_simple, wit = _adjacent_pairs_sd_with_simple(az)
-    sides = {
-        "is_tree": n.is_tree(),
-        "strongly_disjoint_with_simple_side": sd_simple,
-        "star_with_simple_center": n.is_star()
-        and any(c in set(lat.atoms) for c in n.star_centers()),
-    }
-    return _equivalent(tid, sides, wit)
-
-
-def _check_thm_3_2(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-3.2"
-    lat, s = az.lattice, az.s_graph
-    if az.is_simple_module:
-        return _inapplicable(tid, "module is simple, no vertices")
-    all_nonessential_simple = all(
-        lat.is_essential(i) or i in set(lat.atoms)
-        for i in range(lat.count)
-        if i != lat.zero_id
-    )
-    sides = {
-        "is_complete": s.is_complete(),
-        "uniform_or_simple_nonessentials_with_two_simple_socle": lat.is_uniform_module()
-        or (all_nonessential_simple and _two_simple_socle(az)),
-    }
-    return _equivalent(tid, sides)
-
-
-def _check_cor_3_4(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "cor-3.4"
-    lat, n = az.lattice, az.n_graph
-    if not lat.is_semisimple() or az.is_simple_module:
-        return _inapplicable(tid, "module not semisimple or simple")
-    sides = {
-        "proper_graph_complete": n.is_complete() and n.n_vertices > 0,
-        "has_universal_vertex": bool(n.universal_vertices()),
-        "two_simple_summands": _two_simple_module(az),
-    }
-    return _equivalent(tid, sides)
-
-
-def _check_thm_3_6(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "thm-3.6"
-    s = az.s_graph
-    if az.is_simple_module:
-        return _inapplicable(tid, "module is simple, no vertices")
-    k = s.k_regular()
-    sides = {
-        "k_regular": k is not None,
-        "complete_with_k_plus_1_vertices": s.is_complete()
-        and (k is None or s.n_vertices == k + 1),
-    }
-    return _equivalent(tid, sides)
-
-
-def _check_prop_2_5(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "prop-2.5"
-    lat, s = az.lattice, az.s_graph
-    if not lat.is_semisimple() or az.is_simple_module:
-        return _inapplicable(tid, "module not semisimple or simple")
-    atoms = set(lat.atoms)
-    for b in s.vertex_ids:
-        s1 = s.degree(b) == 1
-        comps = lat.complements_of(b)
-        s2 = b in atoms and len(comps) == 1 and comps[0] != lat.zero_id
-        s3 = b in atoms and not az.has_isomorphic_twin(b)
-        if not (s1 == s2 == s3):
-            return _equivalent(
-                tid,
-                {"degree_one": s1, "unique_nonzero_complement": s2, "no_isomorphic_twin": s3},
-                f"vertex {_lbl(az, b)}",
-            )
-    return _asserted(tid, {"all_vertices_agree": True}, None)
-
-
-def _check_cor_2_7(az: ModuleAnalysis) -> TheoremVerdict:
-    tid = "cor-2.7"
-    lat, s = az.lattice, az.s_graph
-    if az.is_simple_module:
-        return _inapplicable(tid, "module is simple, no vertices")
-    sides = {
-        "has_degree_one_vertex": any(s.degree(v) == 1 for v in s.vertex_ids),
-        "multiplicity_free_simple_or_short_chain": (
-            lat.is_semisimple()
-            and any(not az.has_isomorphic_twin(a) for a in lat.atoms if a != lat.full_id)
-        )
-        or (lat.is_chain() and len(lat.nontrivial_ids()) == 2),
-    }
-    return _equivalent(tid, sides)
-
-
-def _check_prop_2_17(az: ModuleAnalysis) -> TheoremVerdict:
-    v = check_deg1_interactions(az)
-    sides = {
-        k: val
-        for k, val in v.sides.items()
-        if k
-        in (
-            "disjoint_pairs_are_nonisomorphic_simples",
-            "meeting_pairs_sum_to_degree_one",
-            "essential_sums_are_socle",
-        )
-    }
-    if not v.applicable:
-        return _inapplicable("prop-2.17", v.witness or "hypothesis not met")
-    return _asserted("prop-2.17", sides, v.witness)
-
-
-def _check_thm_2_18(az: ModuleAnalysis) -> TheoremVerdict:
-    v = check_deg1_interactions(az)
-    if not v.applicable:
-        return _inapplicable("thm-2.18", v.witness or "hypothesis not met")
-    sides = {"all_simple_or_unique_largest": v.sides["all_simple_or_unique_largest"]}
-    return _asserted("thm-2.18", sides, v.witness)
-
-
-def _check_cor_2_11(az: ModuleAnalysis) -> TheoremVerdict:
-    v = check_deg1_interactions(az)
-    if not v.applicable:
-        return _inapplicable("cor-2.11", v.witness or "hypothesis not met")
-    sides = {"degree_one_contains_simple": v.sides["degree_one_contains_simple"]}
-    return _asserted("cor-2.11", sides, v.witness)
 
 
 # -- catalog -------------------------------------------------------------------------

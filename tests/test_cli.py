@@ -91,6 +91,9 @@ def test_bad_caps_env(z8z2_spec, capsys, monkeypatch):
     monkeypatch.setenv("SUMESS_CAPS", "wat=9")
     assert main(["analyze", z8z2_spec]) == 2
     assert "wat" in capsys.readouterr().err
+    monkeypatch.setenv("SUMESS_CAPS", "clique=5")
+    assert main(["analyze", z8z2_spec]) == 2
+    assert "clique" in capsys.readouterr().err
 
 
 def test_verify_pass(tmp_path, capsys):

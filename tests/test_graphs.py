@@ -3,10 +3,8 @@ import json
 import math
 
 import networkx as nx
-import pytest
 
 from sumess import (
-    CliqueSearchCapExceeded,
     build_module,
     enumerate_lattice,
     export_json,
@@ -173,41 +171,6 @@ def test_triangle_returns_real_triangle(z8z2):
     assert t is not None
     a, b, c = t
     assert n.adjacent(a, b) and n.adjacent(b, c) and n.adjacent(a, c)
-
-
-def test_find_clique(z8z2):
-    n = z8z2.n_graph
-    c4 = n.find_clique(4)
-    if c4 is not None:
-        assert n.is_clique(c4)
-    c3 = n.find_clique(3)
-    assert c3 is not None and n.is_clique(c3)
-    assert n.find_clique(8) is None  # only 7 vertices
-
-
-def test_find_clique_cap():
-    lat = enumerate_lattice(build_module(integer_module("m", 2, 2, 2)))
-    s = sum_essential_graph(lat)
-    with pytest.raises(CliqueSearchCapExceeded):
-        s.find_clique(5, max_nodes=1)
-
-
-def test_complete_multipartite_parts():
-    lat = enumerate_lattice(build_module(integer_module("m", 2, 3)))
-    s = sum_essential_graph(lat)
-    parts = s.complete_multipartite_parts()
-    assert parts is not None
-    assert sorted(len(p) for p in parts) == [1, 1]
-    # the path on 3 vertices is the star K_{1,2}, so it does qualify
-    lat2 = enumerate_lattice(build_module(integer_module("m", 4, 3)))
-    n2 = proper_sum_essential_graph(lat2)
-    assert sorted(len(p) for p in n2.complete_multipartite_parts()) == [1, 2]
-
-
-def test_not_complete_multipartite(z8z2):
-    # degree 2 with 7 vertices would force a part of size 5, degree 3 a part
-    # of size 4, and so on; the sizes cannot tile the vertex set
-    assert z8z2.n_graph.complete_multipartite_parts() is None
 
 
 def test_npartite_witness_semisimple(corpus_analyses):

@@ -3,7 +3,6 @@ import pytest
 
 from sumess import (
     CATALOG_ALL,
-    CORPUS_GATES,
     Caps,
     HomSearchCapExceeded,
     ModuleAnalysis,
@@ -12,7 +11,23 @@ from sumess import (
     integer_module,
     run_catalog,
 )
-from sumess.theorems import _asserted, _equivalent, _inapplicable
+from sumess.theorems import (
+    _COMPLETE_PARTS,
+    _DEG1_INTERACTIONS_PARTS,
+    _DEG1_S_PARTS,
+    _TRIANGLEFREE_PARTS,
+    _asserted,
+    _composite,
+    _equivalent,
+    _inapplicable,
+)
+
+COMPOSITE_PARTS = {
+    "deg1-S": _DEG1_S_PARTS,
+    "deg1-interactions": _DEG1_INTERACTIONS_PARTS,
+    "complete": _COMPLETE_PARTS,
+    "trianglefree": _TRIANGLEFREE_PARTS,
+}
 
 
 def _az(*moduli):
@@ -36,9 +51,38 @@ def test_verdict_helpers():
     assert not v.applicable and not v.passed and v.sides == {} and v.witness == "why"
 
 
+def _stub(tid, passed=True, applicable=True):
+    def check(az):
+        if not applicable:
+            return _inapplicable(tid, f"{tid} does not apply")
+        return _asserted(tid, {f"{tid}_side": passed}, f"{tid} failed")
+
+    return check
+
+
+def test_composite_reports_first_failing_part():
+    parts = (
+        ("a", _stub("a")),
+        ("b", _stub("b", passed=False)),
+        ("c", _stub("c", passed=False)),
+        ("d", _stub("d", passed=False, applicable=False)),
+    )
+    v = _composite("x", None, parts)
+    assert v.sides == {"a": True, "b": False, "c": False, "d": True}
+    assert not v.passed and v.witness == "b failed"
+    v = _composite("x", None, parts[::-1])
+    assert v.witness == "c failed"
+    # a side of None splices in the part's own sides
+    v = _composite("x", None, ((None, _stub("a")), (None, _stub("b", passed=False))))
+    assert v.sides == {"a_side": True, "b_side": False}
+    assert v.witness == "b failed"
+    v = _composite("x", None, parts[:1] + parts[3:])
+    assert v.passed and v.witness is None
+
+
 def test_verdict_invariant_everywhere(corpus_analyses):
     """pass implies applicable; witness present exactly when not passing."""
-    ids = list(CATALOG_ALL) + list(CORPUS_GATES)
+    ids = list(REGISTRY)
     for name, az in corpus_analyses.items():
         for v in run_catalog(az, ids):
             if v.passed:
@@ -79,13 +123,66 @@ def test_run_catalog_deterministic(z4z9):
 
 
 def test_every_applicable_verdict_passes(corpus_analyses):
-    ids = list(CATALOG_ALL) + list(CORPUS_GATES)
+    ids = list(REGISTRY)
     failures = []
     for name, az in corpus_analyses.items():
         for v in run_catalog(az, ids):
             if v.applicable and not v.passed:
                 failures.append((name, v.theorem_id, v.witness))
     assert failures == []
+
+
+def test_composite_sides_match_statements(corpus_analyses):
+    """A statement-backed side of a composite holds exactly when its statement
+    passes or does not apply; spliced sides are the statement's own."""
+    statement_of = {check: tid for tid, check in REGISTRY.items()}
+    compared = 0
+    for name, az in corpus_analyses.items():
+        for cid, parts in COMPOSITE_PARTS.items():
+            v = REGISTRY[cid](az)
+            if not v.applicable:
+                continue
+            for side, check in parts:
+                tid = statement_of.get(check)
+                if tid is None:
+                    continue
+                stmt = REGISTRY[tid](az)
+                if side is None:
+                    assert stmt.sides.items() <= v.sides.items(), (name, cid, tid)
+                else:
+                    holds = stmt.passed or not stmt.applicable
+                    assert v.sides[side] == holds, (name, cid, side)
+                compared += 1
+    assert compared > 500
+
+
+def test_composite_side_names_stable(z8z3):
+    assert {cid: list(REGISTRY[cid](z8z3).sides) for cid in COMPOSITE_PARTS} == {
+        "deg1-S": ["degree_one_shape", "semisimple_three_way", "degree_one_dichotomy"],
+        "deg1-interactions": [
+            "disjoint_pairs_are_nonisomorphic_simples",
+            "meeting_pairs_sum_to_degree_one",
+            "essential_sums_are_socle",
+            "all_simple_or_unique_largest",
+            "degree_one_contains_simple",
+        ],
+        "complete": [
+            "complete_iff_uniform_or_two_simple_socle",
+            "semisimple_complete_iff_two_simples",
+            "proper_graph_complete_iff_same",
+            "semisimple_universal_equivalence",
+            "vertex_count_is_hom_count_plus_one",
+            "k_regular_iff_complete",
+            "nonessential_universal_vertices_simple",
+        ],
+        "trianglefree": [
+            "s_trianglefree_iff_k2",
+            "n_trianglefree_iff_strongly_disjoint",
+            "n_tree_iff_star_with_simple_center",
+            "s_girth_in_3_inf",
+            "n_girth_in_3_4_inf",
+        ],
+    }
 
 
 # -- individual checkers on known modules --------------------------------------------
