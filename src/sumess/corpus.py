@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .analysis import ModuleAnalysis
-from .errors import CapExceeded, Caps, UnknownTheoremId
+from .errors import CapExceeded, Caps, SpecFileError, UnknownTheoremId
 from .graphs import export_dot
 from .modules import ModulePresentation, generated_module, integer_module
 from .theorems import CATALOG_ALL, CORPUS_GATES, REGISTRY, run_catalog
@@ -130,8 +130,14 @@ def enumerate_corpus(cspec: CorpusSpec) -> list[ModulePresentation]:
     if cspec.extra_spec_files:
         from .specfile import load_spec
 
+        names = {p.name for p in items}
         for path in cspec.extra_spec_files:
-            items.append(load_spec(path))
+            pres = load_spec(path)
+            if pres.name in names:
+                # the CSV blocks and DOT file names are keyed by module name
+                raise SpecFileError(path, 0, f"duplicate module name {pres.name!r}")
+            names.add(pres.name)
+            items.append(pres)
     return items
 
 

@@ -5,18 +5,19 @@ Two distinct vertices are adjacent exactly when their sum is an essential
 submodule. The full graph takes all nontrivial submodules; the proper variant
 keeps only the non-essential ones.
 
-Adjacency is stored as one bitmask int per vertex, over vertex positions;
-traversals work on the ints (whole frontiers as single big integers). Rows
-are built from the lattice's up- and down-sets, with no vertex-pair table.
+Adjacency is stored as one bitmask int per lattice id, over lattice ids (0
+for non-vertices), so graph and lattice share one index space. Rows are built
+from the lattice's up- and down-sets, with no vertex-pair table. Adjacency is
+monotone in the submodule order: if u <= u' are vertices, u ~ v and v != u',
+then u' ~ v, since u' + v contains the essential u + v. Balls therefore grow
+through the rows of the maximal vertices alone.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import Iterable, Iterator
 
 from .errors import HypothesisNotMet
 from .lattice import SubmoduleLattice, _iter_bits
@@ -30,95 +31,76 @@ class EssGraph:
             raise ValueError("kind must be 's' or 'n'")
         self.lattice = lattice
         self.kind = kind
-        ids = lattice.nontrivial_ids()
+        bits = lattice.down[lattice.full_id] & ~(1 << lattice.full_id | 1 << lattice.zero_id)
         if kind == "n":
-            ids = [i for i in ids if not lattice.is_essential(i)]
-        self.vertex_ids = tuple(ids)
-        self.n_vertices = len(ids)
-        self.pos_of: dict[int, int] = {lid: p for p, lid in enumerate(ids)}
+            bits &= ~lattice.up[lattice.socle_id]
+        self.vertex_bits = bits
+        self.vertex_ids = tuple(_iter_bits(bits))
+        self.n_vertices = len(self.vertex_ids)
+        # the coatoms in S, the maximal non-essential submodules in N
+        self._top_bits = sum(1 << top for top in lattice.maximal(bits))
 
-        vertex_bits = sum(1 << lid for lid in ids)
-        nbytes = (lattice.count + 7) // 8
-        keep = np.array(ids, dtype=np.int64)
-        self.rows: list[int] = []
-        for lid in ids:
-            row = vertex_bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
-            # re-index from lattice ids to vertex positions
-            bits = np.unpackbits(
-                np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8),
-                bitorder="little",
-            )[keep]
-            packed = np.packbits(bits, bitorder="little").tobytes()
-            self.rows.append(int.from_bytes(packed, "little"))
-        self.full_mask = (1 << self.n_vertices) - 1 if self.n_vertices else 0
+        self.rows = [0] * lattice.count
+        for lid in self.vertex_ids:
+            self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
         self._diameter: float | None = None
         self._girth: float | None = None
 
     # -- basics ---------------------------------------------------------------
 
     def has_vertex(self, lid: int) -> bool:
-        return lid in self.pos_of
+        return bool(self.vertex_bits >> lid & 1)
 
     def degree(self, lid: int) -> int:
-        return self.rows[self.pos_of[lid]].bit_count()
+        return self.rows[lid].bit_count()
 
     def degrees(self) -> dict[int, int]:
-        return {lid: self.rows[p].bit_count() for p, lid in enumerate(self.vertex_ids)}
+        return {lid: self.rows[lid].bit_count() for lid in self.vertex_ids}
 
     def neighbors(self, lid: int) -> list[int]:
-        p = self.pos_of[lid]
-        return [self.vertex_ids[q] for q in _iter_bits(self.rows[p])]
+        return list(_iter_bits(self.rows[lid]))
 
     def adjacent(self, a: int, b: int) -> bool:
-        return bool(self.rows[self.pos_of[a]] >> self.pos_of[b] & 1)
+        return bool(self.rows[a] >> b & 1)
 
     def n_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for p in range(self.n_vertices):
-            for q in _iter_bits(self.rows[p] >> (p + 1)):
-                out.append((self.vertex_ids[p], self.vertex_ids[p + 1 + q]))
-        return out
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for a in self.vertex_ids:
+            for b in _iter_bits(self.rows[a] >> (a + 1)):
+                yield (a, a + 1 + b)
 
     # -- traversal metrics ------------------------------------------------------
 
-    def _bfs_dist(self, start: int) -> list[int]:
-        """Distances (positions) from position `start`; -1 if unreachable."""
-        dist = [-1] * self.n_vertices
-        dist[start] = 0
-        frontier = 1 << start
-        seen = frontier
-        d = 0
-        while frontier:
-            nxt = 0
-            for p in _iter_bits(frontier):
-                nxt |= self.rows[p]
-            nxt &= ~seen
-            d += 1
-            for p in _iter_bits(nxt):
-                dist[p] = d
-            seen |= nxt
-            frontier = nxt
-        return dist
+    def _balls(self, lid: int) -> Iterator[int]:
+        """Balls of radius 1, 2, ... around a vertex, while they grow.
+
+        By monotonicity, a maximal vertex m above a vertex u at distance
+        d >= 1 is itself at distance <= d, and every neighbor of u is m or
+        a neighbor of m. So ORing in the rows of the maximal vertices
+        inside a ball widens it by one.
+        """
+        ball = 1 << lid | self.rows[lid]
+        while True:
+            yield ball
+            grown = ball
+            for top in _iter_bits(ball & self._top_bits):
+                grown |= self.rows[top]
+            if grown == ball:
+                return
+            ball = grown
 
     def component_count(self) -> int:
         seen = 0
         parts = 0
-        for p in range(self.n_vertices):
-            if seen >> p & 1:
+        for lid in self.vertex_ids:
+            if seen >> lid & 1:
                 continue
             parts += 1
-            frontier = 1 << p
-            seen |= frontier
-            while frontier:
-                nxt = 0
-                for q in _iter_bits(frontier):
-                    nxt |= self.rows[q]
-                nxt &= ~seen
-                seen |= nxt
-                frontier = nxt
+            for ball in self._balls(lid):
+                pass
+            seen |= ball
         return parts
 
     def is_connected(self) -> bool:
@@ -130,33 +112,28 @@ class EssGraph:
         """Max eccentricity; inf when disconnected, 0 below two vertices."""
         if self._diameter is not None:
             return self._diameter
-        if self.n_vertices <= 1:
-            self._diameter = 0
-            return 0
         worst = 0
-        for p in range(self.n_vertices):
-            dist = self._bfs_dist(p)
-            if -1 in dist:
-                worst = INF
-                break
-            worst = max(worst, max(dist))
+        if self.n_vertices > 1:
+            for lid in self.vertex_ids:
+                radius = 0
+                for ball in self._balls(lid):
+                    radius += 1
+                if ball != self.vertex_bits:
+                    worst = INF
+                    break
+                worst = max(worst, radius)
         self._diameter = worst
         return worst
 
     def triangle(self) -> tuple[int, int, int] | None:
         """Some triangle as lattice ids, or None."""
-        for p in range(self.n_vertices):
-            rp = self.rows[p]
-            for q in _iter_bits(rp >> (p + 1)):
-                qq = p + 1 + q
-                common = rp & self.rows[qq]
+        for a in self.vertex_ids:
+            ra = self.rows[a]
+            for q in _iter_bits(ra >> (a + 1)):
+                b = a + 1 + q
+                common = ra & self.rows[b]
                 if common:
-                    r = next(_iter_bits(common))
-                    return (
-                        self.vertex_ids[p],
-                        self.vertex_ids[qq],
-                        self.vertex_ids[r],
-                    )
+                    return (a, b, next(_iter_bits(common)))
         return None
 
     def triangle_free(self) -> bool:
@@ -173,18 +150,17 @@ class EssGraph:
         if self.triangle() is not None:
             return 3
         # no triangles: a 4-cycle exists iff some pair shares two neighbors
-        for p in range(self.n_vertices):
-            for q in range(p + 1, self.n_vertices):
-                if (self.rows[p] & self.rows[q]).bit_count() >= 2:
+        ids = self.vertex_ids
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                if (self.rows[a] & self.rows[b]).bit_count() >= 2:
                     return 4
         # sparse leftover: per-edge shortest alternative path
         best = INF
-        for p in range(self.n_vertices):
-            for q in _iter_bits(self.rows[p] >> (p + 1)):
-                qq = p + 1 + q
-                alt = self._dist_avoiding_edge(p, qq)
-                if alt >= 0:
-                    best = min(best, alt + 1)
+        for a, b in self.edges():
+            alt = self._dist_avoiding_edge(a, b)
+            if alt >= 0:
+                best = min(best, alt + 1)
         return best
 
     def _dist_avoiding_edge(self, a: int, b: int) -> int:
@@ -209,14 +185,13 @@ class EssGraph:
     # -- shape predicates -------------------------------------------------------
 
     def is_complete(self) -> bool:
-        n = self.n_vertices
-        return all(r.bit_count() == n - 1 for r in self.rows) if n else True
+        return len(self.universal_vertices()) == self.n_vertices
 
     def k_regular(self) -> int | None:
         """The common degree if the graph is regular, else None."""
         if not self.n_vertices:
             return 0
-        degs = {r.bit_count() for r in self.rows}
+        degs = {self.rows[lid].bit_count() for lid in self.vertex_ids}
         return degs.pop() if len(degs) == 1 else None
 
     def is_tree(self) -> bool:
@@ -228,22 +203,10 @@ class EssGraph:
 
     def is_star(self) -> bool:
         """A tree with a center adjacent to everything else; K1 and K2 count."""
-        if not self.is_tree():
-            return False
-        if self.n_vertices == 1:
-            return True
-        return any(r.bit_count() == self.n_vertices - 1 for r in self.rows)
+        return self.is_tree() and bool(self.universal_vertices())
 
     def star_centers(self) -> list[int]:
-        if not self.is_star():
-            return []
-        if self.n_vertices == 1:
-            return [self.vertex_ids[0]]
-        return [
-            self.vertex_ids[p]
-            for p, r in enumerate(self.rows)
-            if r.bit_count() == self.n_vertices - 1
-        ]
+        return self.universal_vertices() if self.is_star() else []
 
     def star_center(self) -> int | None:
         """Canonically first center of a star graph, None for non-stars."""
@@ -252,43 +215,40 @@ class EssGraph:
 
     def universal_vertices(self) -> list[int]:
         return [
-            self.vertex_ids[p]
-            for p, r in enumerate(self.rows)
-            if r.bit_count() == self.n_vertices - 1
+            lid
+            for lid in self.vertex_ids
+            if self.rows[lid].bit_count() == self.n_vertices - 1
         ]
 
     def is_clique(self, lids: Iterable[int]) -> bool:
-        ps = [self.pos_of[lid] for lid in lids]
-        return all(self.rows[a] >> b & 1 for i, a in enumerate(ps) for b in ps[i + 1 :])
+        lids = list(lids)
+        return all(self.rows[a] >> b & 1 for i, a in enumerate(lids) for b in lids[i + 1 :])
 
     def is_independent_set(self, lids: Iterable[int]) -> bool:
         group = 0
         for lid in lids:
-            group |= 1 << self.pos_of[lid]
-        return not any(self.rows[p] & group for p in _iter_bits(group))
+            group |= 1 << lid
+        return not any(self.rows[lid] & group for lid in _iter_bits(group))
 
     def complement_components(self) -> list[list[int]]:
         """Vertex classes of the complement graph, as lattice-id lists."""
-        comp_rows = [
-            (~r) & self.full_mask & ~(1 << p) for p, r in enumerate(self.rows)
-        ]
         seen = 0
         out = []
-        for p in range(self.n_vertices):
-            if seen >> p & 1:
+        for lid in self.vertex_ids:
+            if seen >> lid & 1:
                 continue
-            group = 1 << p
+            group = 1 << lid
             frontier = group
             seen |= group
             while frontier:
                 nxt = 0
                 for q in _iter_bits(frontier):
-                    nxt |= comp_rows[q]
+                    nxt |= self.vertex_bits & ~self.rows[q]
                 nxt &= ~seen
                 group |= nxt
                 seen |= nxt
                 frontier = nxt
-            out.append([self.vertex_ids[q] for q in _iter_bits(group)])
+            out.append(list(_iter_bits(group)))
         return out
 
     # -- reporting ---------------------------------------------------------------

@@ -262,10 +262,9 @@ class FiniteModule:
     # -- elements ----------------------------------------------------------
 
     def encode(self, coords) -> int:
-        cs = tuple(int(c) % d for c, d in zip(coords, self.moduli))
-        if len(cs) != self.k:
+        if len(coords) != self.k:
             raise ValueError(f"expected {self.k} coordinates, got {len(coords)}")
-        return int(sum(c * s for c, s in zip(cs, self._strides)))
+        return int(sum(int(c) % d * s for c, d, s in zip(coords, self.moduli, self._strides)))
 
     def decode(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self._coords[index])

@@ -485,9 +485,9 @@ def check_semisimple_equalities(az: ModuleAnalysis) -> TheoremVerdict:
     if az.is_simple_module:
         return _inapplicable(tid, "module is simple, no vertices")
     lat, s, n = az.lattice, az.s_graph, az.n_graph
-    # both graphs list their vertices in ascending lattice id, so equal
-    # vertex tuples make rows at the same position describe the same vertex
-    graphs_equal = s.vertex_ids == n.vertex_ids and s.rows == n.rows
+    # both graphs index their rows by lattice id, so equal vertex sets and
+    # equal rows are equal graphs
+    graphs_equal = s.vertex_bits == n.vertex_bits and s.rows == n.rows
     shared = any(s.degree(x) == n.degree(x) for x in n.vertex_ids)
     sides = {
         "is_semisimple": lat.is_semisimple(),

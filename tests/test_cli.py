@@ -204,6 +204,16 @@ def test_corpus_extra_spec(tmp_path, capsys):
     assert "z49,49," in out_csv.read_text()
 
 
+def test_corpus_duplicate_module_name(tmp_path, capsys):
+    extra = tmp_path / "z4.modspec"
+    extra.write_text("name = z4\nmoduli = 2 2\n")
+    out_csv = tmp_path / "c.csv"
+    args = ["corpus", "--max-order", "4", "--extra", str(extra), "--out", str(out_csv)]
+    assert main(args) == 2
+    assert "duplicate module name 'z4'" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
 def test_console_script_installed(z4_spec):
     # the child imports the same sumess as this test, installed or not
     src = str(Path(sumess.__file__).resolve().parents[1])

@@ -4,6 +4,7 @@ import pytest
 from sumess import (
     Caps,
     CorpusSpec,
+    SpecFileError,
     abelian_presentations,
     build_module,
     enumerate_corpus,
@@ -114,6 +115,19 @@ def test_extra_spec_files(tmp_path):
     items = enumerate_corpus(CorpusSpec(max_order=4, extra_spec_files=(str(p),)))
     assert items[-1].name == "extra"
     assert items[-1].moduli == (49,)
+
+
+def test_duplicate_module_name_rejected(tmp_path):
+    # a second z4 would overwrite z4_s.dot and z4_n.dot and repeat its CSV block
+    p = tmp_path / "z4.modspec"
+    p.write_text("name = z4\nmoduli = 2 2\n")
+    with pytest.raises(SpecFileError, match="duplicate module name 'z4'"):
+        enumerate_corpus(CorpusSpec(max_order=4, extra_spec_files=(str(p),)))
+    q = tmp_path / "twice.modspec"
+    q.write_text("name = twice\nmoduli = 49\n")
+    with pytest.raises(SpecFileError, match="duplicate module name 'twice'") as info:
+        enumerate_corpus(CorpusSpec(max_order=4, extra_spec_files=(str(q), str(q))))
+    assert info.value.path == str(q)
 
 
 def test_default_corpus_contents():

@@ -66,6 +66,13 @@ def test_invalid_moduli():
         _mod()
     with pytest.raises(InvalidModuli):
         build_module(integer_module("m", 4, 0))
+    # coordinates must match the moduli in number, not be cut to fit
+    m = _mod(4, 2)
+    for wrong in ((1,), (1, 1, 7)):
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            m.encode(wrong)
+        with pytest.raises(ValueError, match="expected 2 coordinates"):
+            m.element(wrong)
 
 
 def test_element_cap():
@@ -119,79 +126,8 @@ def test_action_ring_closed():
             assert s.astype(np.int32).tobytes() in tables
 
 
-# Matrix presentations of rings with known orders (triangular and full matrix
-# rings, group algebras, F_p[x]/(f)). Each generator acts on coordinate columns.
-
-
-def _unit(k, i, j):
-    return [[int(r == i and c == j) for c in range(k)] for r in range(k)]
-
-
-def _block_diag(mat, copies):
-    k = len(mat)
-    return [
-        [mat[r % k][c % k] if r // k == c // k else 0 for c in range(k * copies)]
-        for r in range(k * copies)
-    ]
-
-
-def _companion(coeffs, p):
-    """x acting on F_p[x]/(x^d + sum coeffs[i] x^i), basis 1, x, ..., x^(d-1)."""
-    d = len(coeffs)
-    return [
-        [(-coeffs[r]) % p if c == d - 1 else int(r == c + 1) for c in range(d)]
-        for r in range(d)
-    ]
-
-
-def _left_regular(elements, mul, gens):
-    """Permutation matrices of left multiplication by each g in gens."""
-    pos = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    return [
-        [[int(pos[mul(g, elements[c])] == r) for c in range(n)] for r in range(n)]
-        for g in gens
-    ]
-
-
-def _ring_presentations():
-    """(presentation, closed-form ring order) for the nine generated families."""
-    upper = lambda k: [_unit(k, i, j) for i in range(k) for j in range(i, k)]
-    full = lambda k: [_unit(k, i, j) for i in range(k) for j in range(k)]
-    s3 = list(itertools.permutations(range(3)))
-    c2c2 = list(itertools.product((0, 1), repeat=2))
-    return [
-        # T_k(F_q): q^(k(k+1)/2); M_k(F_q) acting faithfully: q^(k^2)
-        (generated_module("t3f3", (3,) * 3, upper(3)), 3**6),
-        (generated_module("t4f2", (2,) * 4, upper(4)), 2**10),
-        (generated_module("m3f2", (2,) * 3, full(3)), 2**9),
-        (generated_module("m2f3_sq", (3,) * 4, [_block_diag(g, 2) for g in full(2)]), 3**4),
-        (generated_module("m2f2_cube", (2,) * 6, [_block_diag(g, 3) for g in full(2)]), 2**4),
-        # a group algebra acts faithfully on itself: 2^|G|
-        (
-            generated_module(
-                "f2s3",
-                (2,) * 6,
-                _left_regular(s3, lambda g, h: tuple(g[h[i]] for i in range(3)), [(1, 0, 2), (1, 2, 0)]),
-            ),
-            2**6,
-        ),
-        (
-            generated_module(
-                "f2c2c2",
-                (2,) * 4,
-                _left_regular(c2c2, lambda g, h: ((g[0] + h[0]) % 2, (g[1] + h[1]) % 2), [(1, 0), (0, 1)]),
-            ),
-            2**4,
-        ),
-        # F_p[x]/(f) acting on itself: p^deg(f)
-        (generated_module("f3_x2p1sq", (3,) * 4, [_companion([1, 0, 2, 0], 3)]), 3**4),
-        (generated_module("f2_phi7", (2,) * 6, [_companion([1] * 6, 2)]), 2**6),
-    ]
-
-
-def test_action_ring_orders_closed_form():
-    for pres, order in _ring_presentations():
+def test_action_ring_orders_closed_form(ring_presentations):
+    for pres, order in ring_presentations:
         m = build_module(pres)
         assert m.endo_count == order, pres.name
         assert len({m.endos[i].tobytes() for i in range(m.endo_count)}) == order
@@ -247,8 +183,8 @@ def _conjugated(pres, p, seed):
     return generated_module(pres.name + "_conj", pres.moduli, gens)
 
 
-def test_action_ring_matches_pairwise_closure():
-    by_name = {pres.name: pres for pres, _ in _ring_presentations()}
+def test_action_ring_matches_pairwise_closure(ring_presentations):
+    by_name = {pres.name: pres for pres, _ in ring_presentations}
     m2f2 = next(p for p in enumerate_corpus(CorpusSpec()) if p.name == "m2f2")
     for pres in (m2f2, by_name["f2c2c2"], _conjugated(by_name["m2f3_sq"], 3, 5)):
         m = build_module(pres)
@@ -257,8 +193,8 @@ def test_action_ring_matches_pairwise_closure():
         assert tables == _pairwise_closure(pres), pres.name
 
 
-def test_action_ring_cap():
-    t4f2 = next(pres for pres, _ in _ring_presentations() if pres.name == "t4f2")
+def test_action_ring_cap(ring_presentations):
+    t4f2 = next(pres for pres, _ in ring_presentations if pres.name == "t4f2")
     with pytest.raises(ActionRingCapExceeded):
         build_module(t4f2, caps=Caps(max_action_ring=1023))
     assert build_module(t4f2, caps=Caps(max_action_ring=1024)).endo_count == 1024
