@@ -21,6 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import HypothesisNotMet
 from .lattice import SubmoduleLattice, _iter_bits
+from .modules import indices_from_mask
 
 INF = math.inf
 
@@ -286,8 +287,15 @@ class EssGraph:
         lines = [f"graph {json.dumps(gname)} {{"]
         for lid in self.vertex_ids:
             lines.append(f'  v{lid} [label={json.dumps(self.label_of(lid))}];')
-        for a, b in self.edges():
-            lines.append(f"  v{a} -- v{b};")
+        # one string per row: the edges a -- b, b > a, in ascending b
+        count = self.lattice.count
+        names = [f"v{lid}" for lid in range(count)]
+        for a in self.vertex_ids:
+            above = self.rows[a] >> (a + 1)
+            if above:
+                head = f"  v{a} -- "
+                ends = (indices_from_mask(above, count - a - 1) + (a + 1)).tolist()
+                lines.append(head + (";\n" + head).join([names[b] for b in ends]) + ";")
         lines.append("}")
         return "\n".join(lines) + "\n"
 

@@ -18,6 +18,11 @@ so the join of i and j is the lowest set bit of up[i] & up[j] and their
 meet the highest set bit of down[i] & down[j]; the other queries are a few
 bit operations each (Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
 implementation of lattice operations", ACM TOPLAS 11(1), 1989).
+
+The labels come from the same order. The generating set of subs[i]
+(modules.irredundant_gens) holds each span as a lattice id and grows it by
+joining cyclic_ids[x], the id of the cyclic submodule of x, so a label
+costs a few bit operations per generator and no sum of elements.
 """
 from __future__ import annotations
 
@@ -27,7 +32,13 @@ from math import prod
 import numpy as np
 
 from .errors import Caps, LatticeCapExceeded
-from .modules import FiniteModule, Submodule, bits_from_mask, indices_from_mask
+from .modules import (
+    FiniteModule,
+    Submodule,
+    bits_from_mask,
+    indices_from_mask,
+    irredundant_gens,
+)
 
 
 @dataclass(frozen=True)
@@ -111,7 +122,8 @@ class SubmoduleLattice:
         """
         mod = self.module
         n = mod.n
-        cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, n)))
+        per_element = [mod.cyclic_mask(x) for x in range(n)]
+        cyclics = list(dict.fromkeys(per_element[1:]))
         blocks = _cyclic_blocks(mod, cyclics)
         nbytes = (n + 7) // 8
         sums = np.empty((len(cyclics), nbytes), dtype=np.uint8)
@@ -146,12 +158,15 @@ class SubmoduleLattice:
         for i, m in enumerate(ordered):
             s = Submodule(mod, m)
             s.canonical_id = i
+            s.lattice = self
             self.subs.append(s)
             self.id_of_mask[m] = i
         self.count = len(self.subs)
         self.zero_id = self.id_of_mask[1]
         self.full_id = self.id_of_mask[(1 << mod.n) - 1]
         ids = self.id_of_mask
+        # cyclic_ids[x]: the id of the cyclic submodule generated by x
+        self.cyclic_ids = [ids[m] for m in per_element]
         return [(ids[a], ids[b]) for a, b in steps]
 
     def _index_structure(self, steps: list[tuple[int, int]]) -> None:
@@ -195,6 +210,16 @@ class SubmoduleLattice:
 
     def join(self, i: int, j: int) -> int:
         return _low_bit(self.up[i] & self.up[j])
+
+    def gens_of(self, i: int) -> tuple[int, ...]:
+        """Irredundant generating set of subs[i], spans held as lattice ids."""
+        subs, up, cyclic = self.subs, self.up, self.cyclic_ids
+        return irredundant_gens(
+            subs[i].mask,
+            self.zero_id,
+            lambda span, x: _low_bit(up[span] & up[cyclic[x]]),
+            lambda span: subs[span].mask,
+        )
 
     def meet(self, i: int, j: int) -> int:
         return (self.down[i] & self.down[j]).bit_length() - 1

@@ -11,9 +11,15 @@ zero map; for the integer action it is the scalars 0..exponent-1.
 Elements are addressed by a dense index: index = sum(c_i * stride_i) with
 stride_0 = 1 and stride_i = stride_{i-1} * d_{i-1}, so the first coordinate
 varies fastest. Submodules are bit-vectors over element indices.
+
+A submodule's label lists an irredundant generating set (irredundant_gens).
+For a submodule registered in a lattice, spans are lattice ids joined
+through the lattice's up-sets; for an ad-hoc one (cyclic_submodule,
+submodule_from_mask), spans are masks summed by join_masks.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
@@ -88,15 +94,45 @@ def indices_from_mask(mask: int, n: int) -> np.ndarray:
     return np.flatnonzero(bits_from_mask(mask, n)).astype(np.int32)
 
 
+def irredundant_gens(mask: int, zero, step, mask_of) -> tuple[int, ...]:
+    """Irredundant generating set of the submodule with this mask.
+
+    Greedy over ascending element index: the next generator is the lowest
+    member outside the span of the ones before it. Then, while the others
+    span the whole submodule without some generator, the first such
+    generator is dropped. The caller picks how a span is held: `zero` is
+    the span of nothing, step(span, x) joins the cyclic submodule of x into
+    it, and mask_of(span) gives its members.
+    """
+    gens: list[int] = []
+    span = zero
+    missing = mask & ~mask_of(span)
+    while missing:
+        x = (missing & -missing).bit_length() - 1
+        gens.append(x)
+        span = step(span, x)
+        missing = mask & ~mask_of(span)
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for g in gens:
+            rest = [h for h in gens if h != g]
+            if mask_of(functools.reduce(step, rest, zero)) == mask:
+                gens = rest
+                changed = True
+                break
+    return tuple(gens)
+
+
 class Submodule:
     """A submodule as a bit-vector of element indices.
 
-    canonical_id is assigned by the lattice (position in the order sorted by
-    (cardinality, member tuple)); it is None for ad-hoc submodules that have
-    not been registered in a lattice yet.
+    canonical_id (position in the order sorted by (cardinality, member
+    tuple)) and lattice are set by the lattice that registers the
+    submodule; both are None for ad-hoc submodules.
     """
 
-    __slots__ = ("module", "mask", "members", "size", "canonical_id", "_gens")
+    __slots__ = ("module", "mask", "members", "size", "canonical_id", "lattice", "_gens")
 
     def __init__(self, module: "FiniteModule", mask: int):
         self.module = module
@@ -104,6 +140,7 @@ class Submodule:
         self.members = indices_from_mask(mask, module.n)
         self.size = int(self.members.size)
         self.canonical_id = None
+        self.lattice = None
         self._gens = None
 
     def __eq__(self, other):
@@ -133,7 +170,16 @@ class Submodule:
     def gens(self) -> tuple[int, ...]:
         """Irredundant generating set, greedy over ascending element index."""
         if self._gens is None:
-            self._gens = self.module._compute_gens(self)
+            if self.lattice is not None:
+                self._gens = self.lattice.gens_of(self.canonical_id)
+            else:
+                mod = self.module
+                self._gens = irredundant_gens(
+                    self.mask,
+                    1,
+                    lambda span, x: mod.join_masks(span, mod.cyclic_mask(x)),
+                    lambda span: span,
+                )
         return self._gens
 
     @property
@@ -189,6 +235,7 @@ class FiniteModule:
         self.endo_count = self.endos.shape[0]
 
         self._cyclic_mask_cache: dict[int, int] = {}
+        self._closed_orbits: set[int] = set()
         self._ann_mask_cache: dict[int, int] = {}
         self._ann_class_cache = None
 
@@ -267,7 +314,7 @@ class FiniteModule:
         return int(sum(int(c) % d * s for c, d, s in zip(coords, self.moduli, self._strides)))
 
     def decode(self, index: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in self._coords[index])
+        return tuple(self._coords[index].tolist())
 
     def element(self, coords) -> Element:
         idx = self.encode(coords)
@@ -319,13 +366,16 @@ class FiniteModule:
             orbit = np.unique(self.endos[:, index])
             bits = np.zeros(self.n, dtype=np.uint8)
             bits[orbit] = 1
-            # the endo orbit of m is already a submodule because the action
-            # ring is closed under + and o; verify closure anyway
-            if not bits[self.add[np.ix_(orbit, orbit)]].all():
-                raise AssertionError("orbit not closed under +")
-            if not bits[self.endos[:, orbit]].all():
-                raise AssertionError("orbit not closed under action")
             cached = _mask_from_bits(bits)
+            # the endo orbit of m is already a submodule because the action
+            # ring is closed under + and o; verify closure anyway, once per
+            # distinct orbit
+            if cached not in self._closed_orbits:
+                if not bits[self.add[np.ix_(orbit, orbit)]].all():
+                    raise AssertionError("orbit not closed under +")
+                if not bits[self.endos[:, orbit]].all():
+                    raise AssertionError("orbit not closed under action")
+                self._closed_orbits.add(cached)
             self._cyclic_mask_cache[index] = cached
         return cached
 
@@ -351,27 +401,6 @@ class FiniteModule:
         for x in indices:
             mask = self.join_masks(mask, self.cyclic_mask(int(x)))
         return mask
-
-    def _compute_gens(self, sub: Submodule) -> tuple[int, ...]:
-        if sub.size == 1:
-            return ()
-        gens: list[int] = []
-        span = 1
-        for x in sub.members:
-            x = int(x)
-            if not (span >> x) & 1:
-                gens.append(x)
-                span = self.join_masks(span, self.cyclic_mask(x))
-        changed = True
-        while changed and len(gens) > 1:
-            changed = False
-            for g in gens:
-                rest = [h for h in gens if h != g]
-                if self.span_mask(rest) == sub.mask:
-                    gens = rest
-                    changed = True
-                    break
-        return tuple(gens)
 
 
 def build_module(presentation: ModulePresentation, caps: Caps | None = None) -> FiniteModule:

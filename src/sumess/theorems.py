@@ -312,9 +312,11 @@ def _check_prop_2_5(az: ModuleAnalysis) -> TheoremVerdict:
         return _inapplicable(tid, "module not semisimple or simple")
     for b in s.vertex_ids:
         s1 = s.degree(b) == 1
-        comps = lat.complements_of(b)
-        s2 = _is_atom(lat, b) and len(comps) == 1 and comps[0] != lat.zero_id
-        s3 = _is_atom(lat, b) and not az.has_isomorphic_twin(b)
+        atom = _is_atom(lat, b)
+        # complements are only asked of atoms: s2 is False for the rest
+        comps = lat.complements_of(b) if atom else ()
+        s2 = atom and len(comps) == 1 and comps[0] != lat.zero_id
+        s3 = atom and not az.has_isomorphic_twin(b)
         if not (s1 == s2 == s3):
             return _equivalent(
                 tid,

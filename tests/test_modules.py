@@ -30,13 +30,32 @@ def _mod(*moduli) -> FiniteModule:
     return build_module(integer_module("m", *moduli))
 
 
+def _mod_within_cap(moduli) -> FiniteModule | None:
+    """The module, or None after checking that it is refused past the cap.
+
+    moduli_lists reaches 9^3 = 729 elements, beyond the default cap of 512.
+    """
+    if math.prod(moduli) > Caps().max_elements:
+        with pytest.raises(ElementCapExceeded):
+            _mod(*moduli)
+        return None
+    return _mod(*moduli)
+
+
+def test_mod_within_cap_draws_past_the_cap():
+    assert _mod_within_cap([7, 9, 9]) is None
+    assert _mod_within_cap([8, 8, 8]).n == 512
+
+
 # -- additive structure ---------------------------------------------------------
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(moduli_lists, st.data())
 def test_encode_decode_roundtrip(moduli, data):
-    m = _mod(*moduli)
+    m = _mod_within_cap(moduli)
+    if m is None:
+        return
     coords = tuple(
         data.draw(st.integers(min_value=0, max_value=d - 1)) for d in moduli
     )
@@ -48,7 +67,9 @@ def test_encode_decode_roundtrip(moduli, data):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(moduli_lists, st.data())
 def test_group_axioms(moduli, data):
-    m = _mod(*moduli)
+    m = _mod_within_cap(moduli)
+    if m is None:
+        return
     x = data.draw(st.integers(min_value=0, max_value=m.n - 1))
     y = data.draw(st.integers(min_value=0, max_value=m.n - 1))
     z = data.draw(st.integers(min_value=0, max_value=m.n - 1))
@@ -236,7 +257,9 @@ def test_ann_classes_partition_elements():
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(moduli_lists, st.data())
 def test_cyclic_submodule_is_least(moduli, data):
-    m = _mod(*moduli)
+    m = _mod_within_cap(moduli)
+    if m is None:
+        return
     x = data.draw(st.integers(min_value=0, max_value=m.n - 1))
     sub = m.cyclic_submodule(x)
     assert sub.contains(x)
