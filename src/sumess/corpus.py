@@ -42,7 +42,6 @@ class CorpusRow:
 @dataclass
 class CorpusResult:
     rows: list[CorpusRow] = field(default_factory=list)
-    dot_files: dict[str, str] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)
 
     @property
@@ -158,7 +157,12 @@ def _selected_ids(theorem_ids) -> tuple[str, ...]:
 
 
 def _run_item(args):
-    pres, ids, caps, want_dots = args
+    """Rows of one module, and whether a cap stopped it.
+
+    With a dot_dir, the S and N DOT files are written here, each as soon as
+    its text is made, so a module's two texts are never held together.
+    """
+    pres, ids, caps, dot_dir = args
     order = 1
     for m in pres.moduli:
         order *= m
@@ -167,16 +171,17 @@ def _run_item(args):
         verdicts = run_catalog(az, ids)
     except CapExceeded as exc:
         row = CorpusRow(pres.name, order, "cap-exceeded", False, True, str(exc))
-        return [row], {}, True
+        return [row], True
     rows = [
         CorpusRow(pres.name, order, v.theorem_id, v.applicable, v.passed, v.witness or "")
         for v in verdicts
     ]
-    dots = {}
-    if want_dots:
-        dots[f"{pres.name}_s.dot"] = export_dot(az.s_graph, f"{pres.name}_s")
-        dots[f"{pres.name}_n.dot"] = export_dot(az.n_graph, f"{pres.name}_n")
-    return rows, dots, False
+    if dot_dir is not None:
+        for kind, graph in (("s", az.s_graph), ("n", az.n_graph)):
+            name = f"{pres.name}_{kind}"
+            with open(os.path.join(dot_dir, f"{name}.dot"), "w") as fh:
+                fh.write(export_dot(graph, name))
+    return rows, False
 
 
 def run_corpus(
@@ -185,11 +190,17 @@ def run_corpus(
     jobs: int = 1,
     dot_dir: str | None = None,
 ) -> CorpusResult:
-    """Run the catalog over the corpus; results in enumeration order."""
+    """Run the catalog over the corpus; results in enumeration order.
+
+    With dot_dir, each module writes its S and N DOT files there as it
+    finishes (see _run_item); no DOT text outlives its module.
+    """
     caps = caps or Caps()
     ids = _selected_ids(cspec.theorem_ids)
     items = enumerate_corpus(cspec)
-    tasks = [(pres, ids, caps, dot_dir is not None) for pres in items]
+    tasks = [(pres, ids, caps, dot_dir) for pres in items]
+    if dot_dir is not None:
+        os.makedirs(dot_dir, exist_ok=True)
 
     result = CorpusResult()
     if jobs <= 1:
@@ -197,17 +208,10 @@ def run_corpus(
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_item, tasks))
-    for pres, (rows, dots, capped) in zip(items, outcomes):
+    for pres, (rows, capped) in zip(items, outcomes):
         result.rows.extend(rows)
-        result.dot_files.update(dots)
         if capped:
             result.skipped.append(pres.name)
-
-    if dot_dir is not None:
-        os.makedirs(dot_dir, exist_ok=True)
-        for fname, text in result.dot_files.items():
-            with open(os.path.join(dot_dir, fname), "w") as fh:
-                fh.write(text)
     return result
 
 

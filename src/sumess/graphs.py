@@ -10,7 +10,9 @@ for non-vertices), so graph and lattice share one index space. Rows are built
 from the lattice's up- and down-sets, with no vertex-pair table. Adjacency is
 monotone in the submodule order: if u <= u' are vertices, u ~ v and v != u',
 then u' ~ v, since u' + v contains the essential u + v. Balls therefore grow
-through the rows of the maximal vertices alone.
+through the rows of the maximal vertices alone, and eccentricity falls as a
+vertex grows, so the diameter is the largest eccentricity of an atom: ball
+walks start from the atoms only.
 """
 from __future__ import annotations
 
@@ -110,12 +112,22 @@ class EssGraph:
         return self.component_count() == 1
 
     def diameter(self) -> float:
-        """Max eccentricity; inf when disconnected, 0 below two vertices."""
+        """Max eccentricity; inf when disconnected, 0 below two vertices.
+
+        Only the atoms that are vertices start a ball walk. Eccentricity is
+        antitone in the submodule order: for vertices u <= u', a shortest
+        path from u stays a walk from u' after swapping its first vertex for
+        u' (monotonicity), and d(u', u) <= 2 <= ecc(u), or u' ~ u when
+        ecc(u) = 1; so ecc(u') <= ecc(u). Every vertex lies above an atom
+        that is itself a vertex (in N, an essential atom is the socle, and a
+        submodule above it is essential), so the largest eccentricity is an
+        atom's. An atom's ball that misses a vertex means disconnected.
+        """
         if self._diameter is not None:
             return self._diameter
         worst = 0
         if self.n_vertices > 1:
-            for lid in self.vertex_ids:
+            for lid in _iter_bits(self.vertex_bits & self.lattice.atom_mask):
                 radius = 0
                 for ball in self._balls(lid):
                     radius += 1

@@ -3,9 +3,12 @@
 Enumeration works by cyclic steps. Every submodule is a sum of cyclic
 submodules, so starting from {0} and joining each submodule found with each
 distinct nonzero cyclic submodule reaches the whole lattice. All the sums
-S + C of one submodule S are found at once, by one numpy gather of S's
-bit-vector through the addition table and an OR over each cyclic's rows, so
-the build makes a few numpy calls per submodule. Submodules are ordered
+S + C of one submodule S are found at once, by a gather of S's bit-vector
+through the addition table and an OR over each cyclic's rows. The work list
+is taken as a frontier of B submodules at a time, B = max(1, 2^18 // n^2),
+so one chunk costs a few numpy calls and no array exceeds max(2^18, n^2)
+bytes. The cyclic submodules of all elements come from one scatter of the
+action ring's tables (FiniteModule.cyclic_masks). Submodules are ordered
 canonically by (cardinality, member tuple) and addressed by their position
 in that order (canonical_id).
 
@@ -26,6 +29,7 @@ costs a few bit operations per generator and no sum of elements.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import prod
 
@@ -35,10 +39,13 @@ from .errors import Caps, LatticeCapExceeded
 from .modules import (
     FiniteModule,
     Submodule,
-    bits_from_mask,
     indices_from_mask,
     irredundant_gens,
 )
+
+# Bytes of boolean work per frontier chunk: B = max(1, _CHUNK_BYTES // n^2)
+# submodules at a time, one at the 512-element cap
+_CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -109,49 +116,72 @@ class SubmoduleLattice:
 
     # -- enumeration ---------------------------------------------------------
 
-    def _enumerate(self) -> list[tuple[int, int]]:
-        """Find every submodule; return the steps S -> S + C taken, as id pairs.
+    def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
+        """Find every submodule; return the steps S -> S + C taken, as id arrays.
 
         y lies in S + C iff y + c lies in S for some c in C (C = -C). So
-        one gather of S's bit-vector through add gives every translate S - x
+        one gather of S's bit-vector through add gives every translate S - y
         as a packed row, and OR-ing the rows of the members of each cyclic C
         gives all the sums S + C at once; the distinct ones other than S are
-        the steps from S. Cyclics are taken a block of at most 8n rows of n
-        bits at a time, so no array made here is larger than n x n bytes, a
-        quarter of add.
+        the steps from S. The work list is taken B submodules at a time, with
+        B = max(1, _CHUNK_BYTES // n^2) fixed by n alone: one unpack, one
+        gather and one pack per chunk, then one reduceat per block of
+        cyclics of at most 8n rows. So no array made here is larger than
+        max(_CHUNK_BYTES, n^2) bytes, which at the 512-element cap is n^2,
+        a quarter of add. Sums stay bytes until they are new: one set of
+        byte strings per submodule dedupes its sums, and one dict for the
+        whole build gives each distinct submodule its discovery index.
         """
         mod = self.module
         n = mod.n
-        per_element = [mod.cyclic_mask(x) for x in range(n)]
+        per_element = mod.cyclic_masks()
         cyclics = list(dict.fromkeys(per_element[1:]))
         blocks = _cyclic_blocks(mod, cyclics)
         nbytes = (n + 7) // 8
-        sums = np.empty((len(cyclics), nbytes), dtype=np.uint8)
-        masks: dict[int, None] = {1: None}
-        work = [1]
-        steps: list[tuple[int, int]] = []
-        for m in work:
-            translates = np.packbits(bits_from_mask(m, n)[mod.add], axis=1, bitorder="little")
+        chunk = max(1, _CHUNK_BYTES // (n * n))
+        ncyc = len(cyclics)
+        sums = np.empty((chunk, ncyc, nbytes), dtype=np.uint8)
+        width = ncyc * nbytes
+        cuts = [slice(k, k + nbytes) for k in range(0, width, nbytes)]
+        keys = [(1).to_bytes(nbytes, "little")]  # submodules in discovery order
+        index = {keys[0]: 0}
+        sources, targets = array("i"), array("i")  # steps, as discovery indices
+        pos = 0
+        while pos < len(keys):
+            part = keys[pos : pos + chunk]
+            b = len(part)
+            raw = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(b, nbytes)
+            bits = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+            translates = np.packbits(
+                bits[:, mod.add].reshape(b * n, n), axis=1, bitorder="little"
+            ).reshape(b, n, nbytes)
             for lo, hi, rows, starts in blocks:
-                np.bitwise_or.reduceat(translates[rows], starts, axis=0, out=sums[lo:hi])
-            packed = sums.tobytes()
-            found = {
-                int.from_bytes(packed[k : k + nbytes], "little")
-                for k in range(0, len(packed), nbytes)
-            }
-            found.discard(m)
-            for j in found:
-                steps.append((m, j))
-                if j not in masks:
-                    if len(masks) >= self.caps.max_lattice:
-                        raise LatticeCapExceeded(
-                            f"lattice exceeds cap {self.caps.max_lattice}"
-                        )
-                    masks[j] = None
-                    work.append(j)
+                np.bitwise_or.reduceat(
+                    translates[:, rows], starts, axis=1, out=sums[:b, lo:hi]
+                )
+            packed = sums[:b].tobytes()
+            for k, key in enumerate(part):
+                row = packed[k * width : (k + 1) * width]
+                found = set(map(row.__getitem__, cuts))
+                found.discard(key)
+                for f in found:
+                    j = index.get(f)
+                    if j is None:
+                        if len(keys) >= self.caps.max_lattice:
+                            raise LatticeCapExceeded(
+                                f"lattice exceeds cap {self.caps.max_lattice}"
+                            )
+                        j = index[f] = len(keys)
+                        keys.append(f)
+                    sources.append(pos + k)
+                    targets.append(j)
+            pos += b
 
+        masks = [int.from_bytes(key, "little") for key in keys]
+        # for masks of one size, ascending member tuples are descending
+        # bit-reversed masks
         ordered = sorted(
-            masks, key=lambda m: (m.bit_count(), tuple(indices_from_mask(m, mod.n)))
+            masks, key=lambda m: (m.bit_count(), -int(format(m, f"0{n}b")[::-1], 2))
         )
         self.subs: list[Submodule] = []
         self.id_of_mask: dict[int, int] = {}
@@ -167,20 +197,22 @@ class SubmoduleLattice:
         ids = self.id_of_mask
         # cyclic_ids[x]: the id of the cyclic submodule generated by x
         self.cyclic_ids = [ids[m] for m in per_element]
-        return [(ids[a], ids[b]) for a, b in steps]
+        id_of = np.array([ids[m] for m in masks], dtype=np.intc)
+        return id_of[np.frombuffer(sources, np.intc)], id_of[np.frombuffer(targets, np.intc)]
 
-    def _index_structure(self, steps: list[tuple[int, int]]) -> None:
+    def _index_structure(self, steps: tuple[np.ndarray, np.ndarray]) -> None:
         L = self.count
+        sources, targets = steps
         # a step always goes to a strictly larger submodule, so a higher id:
         # closing down-sets in ascending target order and up-sets in
         # descending source order reads only finished sets
         down = [1 << i for i in range(L)]
         up = list(down)
-        steps.sort(key=lambda s: s[1])
-        for a, b in steps:
+        order = np.argsort(targets)
+        for a, b in zip(memoryview(sources[order]), memoryview(targets[order])):
             down[b] |= down[a]
-        steps.sort(key=lambda s: s[0], reverse=True)
-        for a, b in steps:
+        order = np.argsort(sources)[::-1]
+        for a, b in zip(memoryview(sources[order]), memoryview(targets[order])):
             up[a] |= up[b]
         self.down = down
         self.up = up

@@ -129,19 +129,27 @@ class Submodule:
 
     canonical_id (position in the order sorted by (cardinality, member
     tuple)) and lattice are set by the lattice that registers the
-    submodule; both are None for ad-hoc submodules.
+    submodule; both are None for ad-hoc submodules. members, the ascending
+    element indices, is computed on first use: only the hom and iso searches
+    and the annihilator class sets read it.
     """
 
-    __slots__ = ("module", "mask", "members", "size", "canonical_id", "lattice", "_gens")
+    __slots__ = ("module", "mask", "size", "canonical_id", "lattice", "_gens", "_members")
 
     def __init__(self, module: "FiniteModule", mask: int):
         self.module = module
         self.mask = mask
-        self.members = indices_from_mask(mask, module.n)
-        self.size = int(self.members.size)
+        self.size = mask.bit_count()
         self.canonical_id = None
         self.lattice = None
         self._gens = None
+        self._members = None
+
+    @property
+    def members(self) -> np.ndarray:
+        if self._members is None:
+            self._members = indices_from_mask(self.mask, self.module.n)
+        return self._members
 
     def __eq__(self, other):
         return isinstance(other, Submodule) and self.module is other.module and self.mask == other.mask
@@ -363,21 +371,52 @@ class FiniteModule:
     def cyclic_mask(self, index: int) -> int:
         cached = self._cyclic_mask_cache.get(index)
         if cached is None:
-            orbit = np.unique(self.endos[:, index])
-            bits = np.zeros(self.n, dtype=np.uint8)
-            bits[orbit] = 1
+            bits = np.zeros(self.n, dtype=bool)
+            bits[self.endos[:, index]] = True
             cached = _mask_from_bits(bits)
-            # the endo orbit of m is already a submodule because the action
-            # ring is closed under + and o; verify closure anyway, once per
-            # distinct orbit
-            if cached not in self._closed_orbits:
-                if not bits[self.add[np.ix_(orbit, orbit)]].all():
-                    raise AssertionError("orbit not closed under +")
-                if not bits[self.endos[:, orbit]].all():
-                    raise AssertionError("orbit not closed under action")
-                self._closed_orbits.add(cached)
+            self._check_closed(cached, bits)
             self._cyclic_mask_cache[index] = cached
         return cached
+
+    def cyclic_masks(self) -> list[int]:
+        """Masks of the cyclic submodules of all n elements, by element index.
+
+        One scatter of the endo tables sets bit e(x) of row x of an n x n bit
+        matrix for every endo e, and one packbits turns the rows into masks.
+        The scatter takes a slice of elements at a time, so that its index
+        array holds at most n x n bytes. Fills the cache of cyclic_mask.
+        """
+        n, endos = self.n, self.endos
+        bits = np.zeros((n, n), dtype=bool)
+        flat = bits.reshape(-1)
+        step = max(1, n * n // (8 * self.endo_count))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            flat[endos[:, lo:hi] + np.arange(lo * n, hi * n, n)] = True
+        raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+        nbytes = (n + 7) // 8
+        masks = []
+        for x in range(n):
+            mask = int.from_bytes(raw[x * nbytes : (x + 1) * nbytes], "little")
+            self._check_closed(mask, bits[x])
+            masks.append(mask)
+        self._cyclic_mask_cache.update(enumerate(masks))
+        return masks
+
+    def _check_closed(self, mask: int, bits: np.ndarray) -> None:
+        """Check an endo orbit, given as mask and membership vector, is a submodule.
+
+        It is one already, because the action ring is closed under + and o;
+        the check runs anyway, once per distinct orbit.
+        """
+        if mask in self._closed_orbits:
+            return
+        orbit = np.flatnonzero(bits)
+        if not bits[self.add[np.ix_(orbit, orbit)]].all():
+            raise AssertionError("orbit not closed under +")
+        if not bits[self.endos[:, orbit]].all():
+            raise AssertionError("orbit not closed under action")
+        self._closed_orbits.add(mask)
 
     def cyclic_submodule(self, m) -> Submodule:
         return Submodule(self, self.cyclic_mask(self._as_index(m)))

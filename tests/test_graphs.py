@@ -193,6 +193,59 @@ def test_degree_monotone_under_containment(corpus_analyses):
                         assert nx_ - {a} <= na | {x}
 
 
+def _bfs_eccentricities(g):
+    """Eccentricity of every vertex, by a breadth-first search from each.
+
+    Each level is the OR of the rows of every vertex in the one before; inf
+    for a vertex that does not reach them all.
+    """
+    ecc = {}
+    for v in g.vertex_ids:
+        seen = frontier = 1 << v
+        depth = 0
+        while True:
+            level = 0
+            for u in g.vertex_ids:
+                if frontier >> u & 1:
+                    level |= g.rows[u]
+            level &= ~seen
+            if not level:
+                break
+            seen |= level
+            frontier = level
+            depth += 1
+        ecc[v] = depth if seen == g.vertex_bits else INF
+    return ecc
+
+
+def test_diameter_matches_all_vertex_bfs(corpus_analyses):
+    """diameter, walked from the atoms only, against a BFS from every vertex.
+
+    Covers every S and N graph of the default corpus and of Z4 x Z2^4
+    (L = 681), which the networkx comparison skips as too slow.
+    """
+    lattices = [az.lattice for az in corpus_analyses.values()]
+    lattices.append(enumerate_lattice(build_module(integer_module("z4z2^4", 4, 2, 2, 2, 2))))
+    for lat in lattices:
+        for g in (sum_essential_graph(lat), proper_sum_essential_graph(lat)):
+            ecc = _bfs_eccentricities(g)
+            want = max(ecc.values()) if g.n_vertices > 1 else 0
+            assert g.diameter() == want, (lat.module.presentation.name, g.kind)
+
+
+def test_eccentricity_antitone_under_containment(corpus_analyses):
+    """For vertices u <= u', ecc(u') <= ecc(u): why atoms give the diameter."""
+    for name in ("z8z2", "z2z3z5", "z4z9", "z2z2z3", "z2z2z2", "m2f2"):
+        az = corpus_analyses[name]
+        lat = az.lattice
+        for g in (az.s_graph, az.n_graph):
+            ecc = _bfs_eccentricities(g)
+            for u in g.vertex_ids:
+                for w in g.vertex_ids:
+                    if lat.leq(u, w):
+                        assert ecc[w] <= ecc[u], (name, g.kind, u, w)
+
+
 # -- searches -------------------------------------------------------------------------
 
 

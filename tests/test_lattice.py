@@ -22,6 +22,7 @@ from sumess import (
     proper_sum_essential_graph,
     sum_essential_graph,
 )
+from sumess import lattice as lattice_module
 from sumess.lattice import _cyclic_blocks
 from sumess.theorems import _disjoints_inside_socle, _meets_imply_socle
 
@@ -195,14 +196,20 @@ def test_matrix_ring_lattice():
 
 
 @pytest.mark.parametrize(
-    "moduli, count",
-    # Z512 is a chain of 10; Z2 x Z256 has (p + 1) * b + 2 subgroups, p = 2, b = 8
-    [((512,), 10), ((2, 256), 26)],
-    ids=["z512", "z2z256"],
+    "pres, count",
+    [
+        # a chain of 10
+        (integer_module("z512", 512), 10),
+        # (p + 1) * b + 2 subgroups, p = 2, b = 8
+        (integer_module("z2z256", 2, 256), 26),
+        # the 2^9 coordinate subspaces, reached by 19,171 cyclic steps
+        (generated_module("f2^9", (2,) * 9, [_unit(9, i, i) for i in range(9)]), 512),
+    ],
+    ids=["z512", "z2z256", "f2^9"],
 )
-def test_lattice_memory_at_element_cap(moduli, count):
+def test_lattice_memory_at_element_cap(pres, count):
     """Peak traced memory of the build stays within 3 x the addition table."""
-    mod = build_module(integer_module("m", *moduli))
+    mod = build_module(pres)
     assert mod.n == Caps().max_elements
     tracemalloc.start()
     try:
@@ -212,6 +219,30 @@ def test_lattice_memory_at_element_cap(moduli, count):
         tracemalloc.stop()
     assert lat.count == count
     assert peak <= 3 * mod.add.nbytes, (peak, mod.add.nbytes)
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        integer_module("z4z2z2z2z2", 4, 2, 2, 2, 2),
+        integer_module("z2z2z2z2z2", 2, 2, 2, 2, 2),
+        T4F2,
+        F2C2C2,
+    ],
+    ids=lambda pres: pres.name,
+)
+def test_frontier_chunks_match_one_submodule_at_a_time(pres, monkeypatch):
+    """The frontier taken in chunks builds the lattice it builds one by one."""
+    chunked = enumerate_lattice(build_module(pres))
+    chunk = max(1, lattice_module._CHUNK_BYTES // chunked.module.n**2)
+    if pres.name == "z4z2z2z2z2":
+        assert chunked.count == 681 and chunked.count > 5 * chunk
+    monkeypatch.setattr(lattice_module, "_CHUNK_BYTES", 1)
+    single = enumerate_lattice(build_module(pres))
+    assert [s.mask for s in chunked.subs] == [s.mask for s in single.subs]
+    assert chunked.up == single.up
+    assert chunked.down == single.down
+    assert chunked.cyclic_ids == single.cyclic_ids
 
 
 def test_lattice_cap():
