@@ -13,6 +13,10 @@ then u' ~ v, since u' + v contains the essential u + v. Balls therefore grow
 through the rows of the maximal vertices alone, and eccentricity falls as a
 vertex grows, so the diameter is the largest eccentricity of an atom: ball
 walks start from the atoms only.
+
+DOT text takes the rows a block at a time, at most _CHUNK_BYTES unpacked
+bytes of adjacency per block (export_dot), and holds about twice the text
+while making it.
 """
 from __future__ import annotations
 
@@ -21,11 +25,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import HypothesisNotMet
 from .lattice import SubmoduleLattice, _iter_bits
-from .modules import indices_from_mask
 
 INF = math.inf
+
+# Unpacked bytes of adjacency per block of rows in export_dot:
+# max(1, _CHUNK_BYTES // L) rows at a time
+_CHUNK_BYTES = 2**16
 
 
 class EssGraph:
@@ -295,21 +304,45 @@ class EssGraph:
         )
 
     def export_dot(self, name: str | None = None) -> str:
+        """The graph as DOT text: one labelled node line per vertex, then
+        one line per edge a -- b, a < b, by ascending a and then b.
+
+        The edge ends are read a block of vertex rows at a time, with
+        rows x L <= _CHUNK_BYTES unpacked bytes: per block, one bytes join
+        of the rows cleared at and below their own vertex, one unpackbits,
+        one nonzero, and one gather of the ends' node names, taken as a list
+        of the existing name strings (no int object per edge). Each row is
+        then one string and the whole text one join, so the text is held
+        about twice at most while it is made.
+        """
         gname = name or f"{self.kind}_graph"
+        subs = self.lattice.subs
         lines = [f"graph {json.dumps(gname)} {{"]
-        for lid in self.vertex_ids:
-            lines.append(f'  v{lid} [label={json.dumps(self.label_of(lid))}];')
-        # one string per row: the edges a -- b, b > a, in ascending b
+        lines += [f"  v{lid} [label={json.dumps(subs[lid].label)}];" for lid in self.vertex_ids]
         count = self.lattice.count
-        names = [f"v{lid}" for lid in range(count)]
-        for a in self.vertex_ids:
-            above = self.rows[a] >> (a + 1)
-            if above:
-                head = f"  v{a} -- "
-                ends = (indices_from_mask(above, count - a - 1) + (a + 1)).tolist()
-                lines.append(head + (";\n" + head).join([names[b] for b in ends]) + ";")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        names = np.array([f"v{lid}" for lid in range(count)], dtype=object)
+        nbytes = (count + 7) // 8
+        rows, ids = self.rows, self.vertex_ids
+        block = max(1, _CHUNK_BYTES // count)
+        for lo in range(0, len(ids), block):
+            part = ids[lo : lo + block]
+            raw = b"".join([(rows[a] >> (a + 1) << (a + 1)).to_bytes(nbytes, "little") for a in part])
+            bits = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8).reshape(len(part), nbytes),
+                axis=1,
+                count=count,
+                bitorder="little",
+            )
+            counts = np.count_nonzero(bits, axis=1).tolist()
+            ends = names[np.nonzero(bits)[1]].tolist()
+            pos = 0
+            for a, k in zip(part, counts):
+                if k:
+                    head = f"  v{a} -- "
+                    lines.append(head + (";\n" + head).join(ends[pos : pos + k]) + ";")
+                    pos += k
+        lines.append("}\n")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

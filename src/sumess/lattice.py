@@ -25,7 +25,9 @@ implementation of lattice operations", ACM TOPLAS 11(1), 1989).
 The labels come from the same order. The generating set of subs[i]
 (modules.irredundant_gens) holds each span as a lattice id and grows it by
 joining cyclic_ids[x], the id of the cyclic submodule of x, so a label
-costs a few bit operations per generator and no sum of elements.
+costs a few bit operations per generator and no sum of elements. The
+submodules read these tables through a JoinIndex, which holds no
+Submodule, so lattice and submodules form no reference cycle.
 """
 from __future__ import annotations
 
@@ -106,11 +108,41 @@ def _cyclic_blocks(mod: FiniteModule, cyclics: list[int]):
     return blocks
 
 
+class JoinIndex:
+    """What the generating sets of a lattice's submodules read of it.
+
+    up, the masks and cyclic_ids, by lattice id, and zero_id. It holds no
+    Submodule, so each submodule can keep it (Submodule.joins) without a
+    reference cycle back through the lattice.
+    """
+
+    __slots__ = ("up", "masks", "cyclic_ids", "zero_id")
+
+    def __init__(self, up: list[int], masks: list[int], cyclic_ids: list[int], zero_id: int):
+        self.up = up
+        self.masks = masks
+        self.cyclic_ids = cyclic_ids
+        self.zero_id = zero_id
+
+    def gens_of(self, i: int) -> tuple[int, ...]:
+        """Irredundant generating set of submodule i, spans held as lattice ids."""
+        up, cyclic = self.up, self.cyclic_ids
+        return irredundant_gens(
+            self.masks[i],
+            self.zero_id,
+            lambda span, x: _low_bit(up[span] & up[cyclic[x]]),
+            self.masks.__getitem__,
+        )
+
+
 class SubmoduleLattice:
     def __init__(self, module: FiniteModule, caps: Caps | None = None):
         self.module = module
         self.caps = caps or module.caps
         self._index_structure(self._enumerate())
+        joins = JoinIndex(self.up, [s.mask for s in self.subs], self.cyclic_ids, self.zero_id)
+        for s in self.subs:
+            s.joins = joins
         self._complement_cache: dict[tuple[int, int], tuple[int, ...]] = {}
         self._class_set_cache: dict[int, frozenset[int]] = {}
 
@@ -188,7 +220,6 @@ class SubmoduleLattice:
         for i, m in enumerate(ordered):
             s = Submodule(mod, m)
             s.canonical_id = i
-            s.lattice = self
             self.subs.append(s)
             self.id_of_mask[m] = i
         self.count = len(self.subs)
@@ -242,16 +273,6 @@ class SubmoduleLattice:
 
     def join(self, i: int, j: int) -> int:
         return _low_bit(self.up[i] & self.up[j])
-
-    def gens_of(self, i: int) -> tuple[int, ...]:
-        """Irredundant generating set of subs[i], spans held as lattice ids."""
-        subs, up, cyclic = self.subs, self.up, self.cyclic_ids
-        return irredundant_gens(
-            subs[i].mask,
-            self.zero_id,
-            lambda span, x: _low_bit(up[span] & up[cyclic[x]]),
-            lambda span: subs[span].mask,
-        )
 
     def meet(self, i: int, j: int) -> int:
         return (self.down[i] & self.down[j]).bit_length() - 1

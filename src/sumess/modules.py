@@ -15,7 +15,8 @@ varies fastest. Submodules are bit-vectors over element indices.
 A submodule's label lists an irredundant generating set (irredundant_gens).
 For a submodule registered in a lattice, spans are lattice ids joined
 through the lattice's up-sets; for an ad-hoc one (cyclic_submodule,
-submodule_from_mask), spans are masks summed by join_masks.
+submodule_from_mask), spans are masks summed by join_masks. Each label is
+formatted once, from per-element coordinate texts made on first use.
 """
 from __future__ import annotations
 
@@ -128,22 +129,27 @@ class Submodule:
     """A submodule as a bit-vector of element indices.
 
     canonical_id (position in the order sorted by (cardinality, member
-    tuple)) and lattice are set by the lattice that registers the
-    submodule; both are None for ad-hoc submodules. members, the ascending
-    element indices, is computed on first use: only the hom and iso searches
-    and the annihilator class sets read it.
+    tuple)) and joins are set by the lattice that registers the submodule;
+    both are None for ad-hoc submodules. Spans are read from joins
+    (lattice.JoinIndex: up-sets, masks and cyclic ids), not from a
+    back-reference to the lattice, so no reference cycle keeps the lattice's
+    tables alive, and a submodule still gives its label after its lattice is
+    dropped. members (the ascending element indices), gens and label are
+    computed on first use and kept; only the hom and iso searches and the
+    annihilator class sets read members.
     """
 
-    __slots__ = ("module", "mask", "size", "canonical_id", "lattice", "_gens", "_members")
+    __slots__ = ("module", "mask", "size", "canonical_id", "joins", "_gens", "_members", "_label")
 
     def __init__(self, module: "FiniteModule", mask: int):
         self.module = module
         self.mask = mask
         self.size = mask.bit_count()
         self.canonical_id = None
-        self.lattice = None
+        self.joins = None
         self._gens = None
         self._members = None
+        self._label = None
 
     @property
     def members(self) -> np.ndarray:
@@ -178,8 +184,8 @@ class Submodule:
     def gens(self) -> tuple[int, ...]:
         """Irredundant generating set, greedy over ascending element index."""
         if self._gens is None:
-            if self.lattice is not None:
-                self._gens = self.lattice.gens_of(self.canonical_id)
+            if self.joins is not None:
+                self._gens = self.joins.gens_of(self.canonical_id)
             else:
                 mod = self.module
                 self._gens = irredundant_gens(
@@ -192,15 +198,15 @@ class Submodule:
 
     @property
     def label(self) -> str:
-        if self.is_zero:
-            return "0"
-        if self.is_full:
-            return "M"
-        parts = []
-        for g in self.gens:
-            coords = self.module.decode(g)
-            parts.append("(" + ",".join(str(c) for c in coords) + ")")
-        return "<" + ",".join(parts) + ">"
+        """"0", "M", or the coordinates of gens, as "<(1,0),(0,2)>"."""
+        if self._label is None:
+            if self.is_zero:
+                self._label = "0"
+            elif self.is_full:
+                self._label = "M"
+            else:
+                self._label = "<" + ",".join(map(self.module.element_text, self.gens)) + ">"
+        return self._label
 
 
 class FiniteModule:
@@ -242,6 +248,7 @@ class FiniteModule:
         self.endos = self._build_action_ring(presentation.action)
         self.endo_count = self.endos.shape[0]
 
+        self._element_texts: dict[int, str] = {}
         self._cyclic_mask_cache: dict[int, int] = {}
         self._closed_orbits: set[int] = set()
         self._ann_mask_cache: dict[int, int] = {}
@@ -323,6 +330,13 @@ class FiniteModule:
 
     def decode(self, index: int) -> tuple[int, ...]:
         return tuple(self._coords[index].tolist())
+
+    def element_text(self, index: int) -> str:
+        """Coordinates of an element as text, "(c0,c1,...)"; made on first use."""
+        text = self._element_texts.get(index)
+        if text is None:
+            text = self._element_texts[index] = "(" + ",".join(map(str, self.decode(index))) + ")"
+        return text
 
     def element(self, coords) -> Element:
         idx = self.encode(coords)
@@ -527,7 +541,10 @@ def is_isomorphic(a: Submodule, b: Submodule) -> bool:
     images are restricted to b-elements with the same annihilator as the
     generator (an isomorphism preserves annihilators exactly), and each
     partial assignment is propagated and pruned on injectivity before the
-    next generator is tried.
+    next generator is tried. The search keeps a stack of candidate
+    iterators, one per generator placed: a recursive closure would reach
+    itself through its own cell, a reference cycle that holds the module
+    until a cyclic collection.
     """
     module = a.module
     if b.module is not module:
@@ -560,24 +577,29 @@ def is_isomorphic(a: Submodule, b: Submodule) -> bool:
             seen.add(v)
         return True
 
-    def search(depth: int, images: list[int]) -> bool:
-        nonlocal nodes
+    images: list[int] = []  # the images of gens[:len(tries) - 1]
+    tries = [iter(candidates[0])]
+    while tries:
+        img = next(tries[-1], None)
+        if img is None:
+            tries.pop()
+            if images:
+                images.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise HomSearchCapExceeded(
+                f"iso search exceeded cap {budget} for |{a.size}| pair"
+            )
+        depth = len(images) + 1
+        f = _propagate(module, gens[:depth], images + [img])
+        if f is None or not injective_so_far(f):
+            continue
         if depth == t:
-            f = _propagate(module, gens, images)
-            if f is None or any(f[x] == -1 for x in a_members):
-                return False
-            return injective_so_far(f)
-        for img in candidates[depth]:
-            nodes += 1
-            if nodes > budget:
-                raise HomSearchCapExceeded(
-                    f"iso search exceeded cap {budget} for |{a.size}| pair"
-                )
-            f = _propagate(module, gens[: depth + 1], images + [img])
-            if f is None or not injective_so_far(f):
-                continue
-            if search(depth + 1, images + [img]):
+            # every generator placed: an isomorphism iff the map is total on a
+            if all(f[x] != -1 for x in a_members):
                 return True
-        return False
-
-    return search(0, [])
+            continue
+        images.append(img)
+        tries.append(iter(candidates[depth]))
+    return False

@@ -1,10 +1,13 @@
 """Graph construction, invariants (with networkx as oracle), and exports."""
 import json
 import math
+import tracemalloc
 
 import networkx as nx
+import pytest
 
 from sumess import (
+    ModuleAnalysis,
     abelian_presentations,
     build_module,
     enumerate_lattice,
@@ -15,6 +18,8 @@ from sumess import (
     proper_sum_essential_graph,
     sum_essential_graph,
 )
+from sumess import graphs as graphs_module
+from test_lattice import F2C2C2, T4F2, _naive_dot
 
 INF = float("inf")
 
@@ -283,6 +288,71 @@ def test_dot_deterministic_and_wellformed(z8z2):
     assert d1.startswith("graph ")
     assert d1.count(" -- ") == s.n_edges()
     assert d1.count("label=") == s.n_vertices
+
+
+@pytest.mark.parametrize(
+    "pres",
+    [
+        integer_module("z4z2z2z2z2", 4, 2, 2, 2, 2),
+        integer_module("z2z2z2z2z2", 2, 2, 2, 2, 2),
+        T4F2,
+        F2C2C2,
+    ],
+    ids=lambda pres: pres.name,
+)
+def test_dot_row_blocks_match_one_row_at_a_time(pres, monkeypatch):
+    """DOT text made a block of rows at a time, against one row per block
+    and against the naive per-edge writer."""
+    az = ModuleAnalysis(pres)
+    graphs = (az.s_graph, az.n_graph)
+    blocked = [g.export_dot(pres.name) for g in graphs]
+    if pres.name == "z4z2z2z2z2":
+        block = max(1, graphs_module._CHUNK_BYTES // az.lattice.count)
+        assert az.lattice.count == 681 and az.s_graph.n_vertices > 5 * block
+    monkeypatch.setattr(graphs_module, "_CHUNK_BYTES", 1)
+    for g, text in zip(graphs, blocked):
+        assert g.export_dot(pres.name) == text, g.kind
+        assert text == _naive_dot(g, pres.name), g.kind
+
+
+def _decoded_label(sub):
+    """The label with every generator decoded and formatted on each call."""
+    if sub.is_zero:
+        return "0"
+    if sub.is_full:
+        return "M"
+    parts = []
+    for g in sub.gens:
+        coords = sub.module.decode(g)
+        parts.append("(" + ",".join(str(c) for c in coords) + ")")
+    return "<" + ",".join(parts) + ">"
+
+
+def test_label_matches_decoded_generators(corpus_analyses, ring_presentations):
+    """Cached labels from per-element texts, for lattice and ad-hoc submodules."""
+    lattices = [az.lattice for az in corpus_analyses.values()]
+    lattices += [enumerate_lattice(build_module(pres)) for pres, _ in ring_presentations]
+    for lat in lattices:
+        mod = lat.module
+        ad_hoc = [mod.submodule_from_mask(s.mask) for s in lat.subs]
+        ad_hoc += [mod.cyclic_submodule(x) for x in range(mod.n)]
+        for sub in lat.subs + ad_hoc:
+            want = _decoded_label(sub)
+            assert sub.label == want, (mod.presentation.name, sub.mask)
+
+
+def test_export_dot_peak_memory(corpus_analyses):
+    """One export_dot holds at most about twice its text: the row strings and
+    the joined text."""
+    g = corpus_analyses["z2z2z2z2z2"].s_graph
+    g.export_dot("z2z2z2z2z2_s")  # labels made
+    tracemalloc.start()
+    try:
+        text = g.export_dot("z2z2z2z2z2_s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * len(text), (peak, len(text))
 
 
 def test_json_report_roundtrip(z4z3):

@@ -1,4 +1,5 @@
 """Submodule lattice enumeration, structure maps, and their oracles."""
+import gc
 import json
 import math
 import random
@@ -24,7 +25,7 @@ from sumess import (
 )
 from sumess import lattice as lattice_module
 from sumess.lattice import _cyclic_blocks
-from sumess.theorems import _disjoints_inside_socle, _meets_imply_socle
+from sumess.theorems import REGISTRY, _disjoints_inside_socle, _meets_imply_socle, run_catalog
 
 
 def _lat(*moduli, caps=None) -> SubmoduleLattice:
@@ -243,6 +244,31 @@ def test_frontier_chunks_match_one_submodule_at_a_time(pres, monkeypatch):
     assert chunked.up == single.up
     assert chunked.down == single.down
     assert chunked.cyclic_ids == single.cyclic_ids
+
+
+def test_analyses_freed_without_cyclic_gc():
+    """Analyses leave nothing for the cyclic garbage collector.
+
+    Lattice and submodules, and the iso search, form no reference cycle, so
+    reference counting frees a module's tables as soon as its analysis is
+    dropped. A submodule kept from a dropped lattice still gives its label.
+    """
+    presentations = (integer_module("z8z2", 8, 2), matrix_ring_presentation(), T4F2, F2C2C2)
+    gc.collect()
+    gc.disable()
+    try:
+        for pres in presentations:
+            az = ModuleAnalysis(pres)
+            run_catalog(az, tuple(REGISTRY))
+            az.s_graph.export_dot("s")
+            az.n_graph.export_dot("n")
+            del az
+        kept = enumerate_lattice(build_module(presentations[0])).subs[5]
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    assert kept.label == ModuleAnalysis(presentations[0]).lattice.subs[5].label == "<(4,0),(0,1)>"
 
 
 def test_lattice_cap():

@@ -85,3 +85,23 @@ def test_traced_hooks_read_existing_attributes():
     assert az.s_graph.n_vertices == len(az.s_graph.rows) - 2
     result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=2))
     assert result.rows
+
+
+def test_corpus_dot_text_made_by_export_dot(monkeypatch, tmp_path):
+    """run_corpus makes each DOT text with one call of corpus.export_dot,
+    the name the tracer times as graphs.dot, and writes it unchanged."""
+    made = []
+    export_dot = sumess.corpus.export_dot
+
+    def counting(graph, name=None):
+        text = export_dot(graph, name)
+        made.append((name, text))
+        return text
+
+    monkeypatch.setattr(sumess.corpus, "export_dot", counting)
+    result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8), dot_dir=str(tmp_path))
+    modules = {r.module for r in result.rows}
+    assert len(modules) > 1
+    assert sorted(name for name, _ in made) == sorted(f"{m}_{k}" for m in modules for k in "sn")
+    for name, text in made:
+        assert (tmp_path / f"{name}.dot").read_text() == text
