@@ -42,7 +42,7 @@ class ModuleAnalysis:
     @property
     def n_graph(self) -> EssGraph:
         if self._n is None:
-            self._n = proper_sum_essential_graph(self.lattice)
+            self._n = proper_sum_essential_graph(self.lattice, self.s_graph)
         return self._n
 
     @property

@@ -70,8 +70,8 @@ def cmd_analyze(args) -> int:
             print(lat.dump_text())
         if args.dot:
             g = az.n_graph if args.graph == "n" else az.s_graph
-            with open(args.dot, "w") as fh:
-                fh.write(g.export_dot(pres.name))
+            with open(args.dot, "wb") as fh:
+                g.write_dot(fh, pres.name)
         if args.report:
             with open(args.report, "w") as fh:
                 fh.write(az.report_json())

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 from .analysis import ModuleAnalysis
 from .errors import CapExceeded, Caps, SpecFileError, UnknownTheoremId
-from .graphs import export_dot
+from .graphs import EssGraph
 from .modules import ModulePresentation, generated_module, integer_module
 from .theorems import CATALOG_ALL, CORPUS_GATES, REGISTRY, run_catalog
 
@@ -156,11 +156,17 @@ def _selected_ids(theorem_ids) -> tuple[str, ...]:
     return tuple(base)
 
 
+def export_dot(graph: EssGraph, name: str, fh: BinaryIO) -> None:
+    """Write one DOT file: the graph's DOT text to the binary handle fh,
+    a block of rows at a time (EssGraph.write_dot)."""
+    graph.write_dot(fh, name)
+
+
 def _run_item(args):
     """Rows of one module, and whether a cap stopped it.
 
-    With a dot_dir, the S and N DOT files are written here, each as soon as
-    its text is made, so a module's two texts are never held together.
+    With a dot_dir, the S and N DOT files are written here, each streamed
+    to its file a block of rows at a time, so no DOT text is held whole.
     """
     pres, ids, caps, dot_dir = args
     order = 1
@@ -179,8 +185,8 @@ def _run_item(args):
     if dot_dir is not None:
         for kind, graph in (("s", az.s_graph), ("n", az.n_graph)):
             name = f"{pres.name}_{kind}"
-            with open(os.path.join(dot_dir, f"{name}.dot"), "w") as fh:
-                fh.write(export_dot(graph, name))
+            with open(os.path.join(dot_dir, f"{name}.dot"), "wb") as fh:
+                export_dot(graph, name, fh)
     return rows, False
 
 
@@ -193,7 +199,7 @@ def run_corpus(
     """Run the catalog over the corpus; results in enumeration order.
 
     With dot_dir, each module writes its S and N DOT files there as it
-    finishes (see _run_item); no DOT text outlives its module.
+    finishes (see _run_item); no DOT text is held whole.
     """
     caps = caps or Caps()
     ids = _selected_ids(cspec.theorem_ids)
@@ -206,6 +212,9 @@ def run_corpus(
     if jobs <= 1:
         outcomes = map(_run_item, tasks)
     else:
+        # imported here: it loads multiprocessing, which a serial run never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_item, tasks))
     for pres, (rows, capped) in zip(items, outcomes):

@@ -14,16 +14,21 @@ through the rows of the maximal vertices alone, and eccentricity falls as a
 vertex grows, so the diameter is the largest eccentricity of an atom: ball
 walks start from the atoms only.
 
-DOT text takes the rows a block at a time, at most _CHUNK_BYTES unpacked
-bytes of adjacency per block (export_dot), and holds about twice the text
-while making it.
+N(M) is the subgraph of S(M) induced on the non-essential vertices, so
+given S(M), the rows of N(M) are its rows masked to the N vertices.
+
+DOT is written to a binary handle a block of rows at a time, at most
+_CHUNK_BYTES unpacked bytes of adjacency per block (write_dot), so it holds
+one block, not the text; export_dot returns the same bytes as a string.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from json.encoder import encode_basestring_ascii
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -32,13 +37,20 @@ from .lattice import SubmoduleLattice, _iter_bits
 
 INF = math.inf
 
-# Unpacked bytes of adjacency per block of rows in export_dot:
+# Unpacked bytes of adjacency per block of rows in write_dot:
 # max(1, _CHUNK_BYTES // L) rows at a time
 _CHUNK_BYTES = 2**16
 
 
 class EssGraph:
-    def __init__(self, lattice: SubmoduleLattice, kind: str):
+    def __init__(self, lattice: SubmoduleLattice, kind: str, s_graph: EssGraph | None = None):
+        """The graph S(M) (kind "s") or N(M) (kind "n") on the lattice.
+
+        N(M) is the subgraph of S(M) induced on the non-essential vertices,
+        so given s_graph, the S(M) of the same lattice, the rows of N(M) are
+        its rows masked to the N vertices; otherwise they are computed from
+        the lattice.
+        """
         if kind not in ("s", "n"):
             raise ValueError("kind must be 's' or 'n'")
         self.lattice = lattice
@@ -53,8 +65,14 @@ class EssGraph:
         self._top_bits = sum(1 << top for top in lattice.maximal(bits))
 
         self.rows = [0] * lattice.count
-        for lid in self.vertex_ids:
-            self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
+        if kind == "n" and s_graph is not None:
+            if s_graph.lattice is not lattice or s_graph.kind != "s":
+                raise ValueError("s_graph must be the S graph of the same lattice")
+            for lid in self.vertex_ids:
+                self.rows[lid] = s_graph.rows[lid] & bits
+        else:
+            for lid in self.vertex_ids:
+                self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
         self._diameter: float | None = None
         self._girth: float | None = None
 
@@ -304,26 +322,35 @@ class EssGraph:
         )
 
     def export_dot(self, name: str | None = None) -> str:
-        """The graph as DOT text: one labelled node line per vertex, then
-        one line per edge a -- b, a < b, by ascending a and then b.
+        """The graph as DOT text (write_dot)."""
+        out = io.BytesIO()
+        self.write_dot(out, name)
+        return out.getvalue().decode("ascii")
 
-        The edge ends are read a block of vertex rows at a time, with
-        rows x L <= _CHUNK_BYTES unpacked bytes: per block, one bytes join
-        of the rows cleared at and below their own vertex, one unpackbits,
-        one nonzero, and one gather of the ends' node names, taken as a list
-        of the existing name strings (no int object per edge). Each row is
-        then one string and the whole text one join, so the text is held
-        about twice at most while it is made.
+    def write_dot(self, fh: BinaryIO, name: str | None = None) -> None:
+        """Write the graph as DOT to the binary handle fh: one labelled node
+        line per vertex, then one line per edge a -- b, a < b, by ascending
+        a and then b. The text is ASCII: labels are quoted JSON strings.
+
+        Node lines and edges are written a block of vertices at a time, with
+        rows x L <= _CHUNK_BYTES unpacked bytes of adjacency, so what is held
+        at once is bounded by the block, not by the text. Per block, the
+        rows cleared at and below their own vertex are unpacked, the edge
+        ends read by one flatnonzero and gathered as the existing name
+        objects (no object made per edge), and each row's edges joined into
+        one bytes object.
         """
         gname = name or f"{self.kind}_graph"
         subs = self.lattice.subs
-        lines = [f"graph {json.dumps(gname)} {{"]
-        lines += [f"  v{lid} [label={json.dumps(subs[lid].label)}];" for lid in self.vertex_ids]
         count = self.lattice.count
-        names = np.array([f"v{lid}" for lid in range(count)], dtype=object)
         nbytes = (count + 7) // 8
+        names = np.array([b"v%d" % lid for lid in range(count)], dtype=object)
         rows, ids = self.rows, self.vertex_ids
         block = max(1, _CHUNK_BYTES // count)
+        fh.write(b"graph %s {\n" % _quoted(gname))
+        for lo in range(0, len(ids), block):
+            part = ids[lo : lo + block]
+            fh.write(b"".join([b"  v%d [label=%s];\n" % (a, _quoted(subs[a].label)) for a in part]))
         for lo in range(0, len(ids), block):
             part = ids[lo : lo + block]
             raw = b"".join([(rows[a] >> (a + 1) << (a + 1)).to_bytes(nbytes, "little") for a in part])
@@ -334,15 +361,21 @@ class EssGraph:
                 bitorder="little",
             )
             counts = np.count_nonzero(bits, axis=1).tolist()
-            ends = names[np.nonzero(bits)[1]].tolist()
+            ends = names[np.flatnonzero(bits) % count].tolist()
+            lines = []
             pos = 0
             for a, k in zip(part, counts):
                 if k:
-                    head = f"  v{a} -- "
-                    lines.append(head + (";\n" + head).join(ends[pos : pos + k]) + ";")
+                    head = b"  v%d -- " % a
+                    lines.append(head + (b";\n" + head).join(ends[pos : pos + k]) + b";\n")
                     pos += k
-        lines.append("}\n")
-        return "\n".join(lines)
+            fh.write(b"".join(lines))
+        fh.write(b"}\n")
+
+
+def _quoted(text: str) -> bytes:
+    """text as a JSON string literal, non-ASCII characters escaped."""
+    return encode_basestring_ascii(text).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -466,8 +499,10 @@ def sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
     return EssGraph(lattice, "s")
 
 
-def proper_sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
-    return EssGraph(lattice, "n")
+def proper_sum_essential_graph(
+    lattice: SubmoduleLattice, s_graph: EssGraph | None = None
+) -> EssGraph:
+    return EssGraph(lattice, "n", s_graph)
 
 
 def export_dot(graph: EssGraph, name: str | None = None) -> str:

@@ -2,13 +2,17 @@
 
 Enumeration works by cyclic steps. Every submodule is a sum of cyclic
 submodules, so starting from {0} and joining each submodule found with each
-distinct nonzero cyclic submodule reaches the whole lattice. All the sums
-S + C of one submodule S are found at once, by a gather of S's bit-vector
-through the addition table and an OR over each cyclic's rows. The work list
-is taken as a frontier of B submodules at a time, B = max(1, 2^18 // n^2),
-so one chunk costs a few numpy calls and no array exceeds max(2^18, n^2)
-bytes. The cyclic submodules of all elements come from one scatter of the
-action ring's tables (FiniteModule.cyclic_masks). Submodules are ordered
+distinct nonzero cyclic submodule reaches the whole lattice. S + Rx depends
+only on the coset x + S, so each submodule S makes one sum per coset of S
+that holds a generator of some cyclic, at most min(#cyclics, [M:S]) - 1
+sums, and none for cyclics already inside S. Cosets are named by their
+least elements, one minimum.reduceat over the addition rows of S's members
+names them all, and a sum is the union of the cosets its cyclic's members
+meet. The work list is taken as a frontier of B submodules at a time,
+B = max(1, 2^18 // n^2), and the sums of a chunk in blocks, so one chunk
+costs a few numpy calls and no array exceeds about max(2^18, n^2) entries.
+The cyclic submodules of all elements come from one scatter of the action
+ring's tables (FiniteModule.cyclic_masks). Submodules are ordered
 canonically by (cardinality, member tuple) and addressed by their position
 in that order (canonical_id).
 
@@ -38,15 +42,11 @@ from math import prod
 import numpy as np
 
 from .errors import Caps, LatticeCapExceeded
-from .modules import (
-    FiniteModule,
-    Submodule,
-    indices_from_mask,
-    irredundant_gens,
-)
+from .modules import FiniteModule, Submodule, irredundant_gens
 
-# Bytes of boolean work per frontier chunk: B = max(1, _CHUNK_BYTES // n^2)
-# submodules at a time, one at the 512-element cap
+# Work per frontier chunk: B = max(1, _CHUNK_BYTES // n^2) submodules at a
+# time, one at the 512-element cap, and their sums in blocks of
+# max(1, _CHUNK_BYTES // (8 (n + w))), w the size of the largest cyclic
 _CHUNK_BYTES = 2**18
 
 
@@ -80,32 +80,6 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _cyclic_blocks(mod: FiniteModule, cyclics: list[int]):
-    """Split the cyclics into blocks of at most 8n members in all.
-
-    Each block is (lo, hi, rows, starts): rows lists the members of
-    cyclics[lo:hi], one cyclic after the other, and starts holds the first
-    row of each cyclic.
-    """
-    n = mod.n
-    groups: list[list[int]] = [[]]
-    size = 0
-    for c in cyclics:
-        if groups[-1] and size + c.bit_count() > 8 * n:
-            groups.append([])
-            size = 0
-        groups[-1].append(c)
-        size += c.bit_count()
-    blocks = []
-    lo = 0
-    for group in groups:
-        members = [indices_from_mask(c, n) for c in group]
-        starts = np.cumsum([0] + [len(m) for m in members[:-1]])
-        blocks.append((lo, lo + len(group), np.concatenate(members), starts))
-        lo += len(group)
-    return blocks
 
 
 class JoinIndex:
@@ -151,62 +125,98 @@ class SubmoduleLattice:
     def _enumerate(self) -> tuple[np.ndarray, np.ndarray]:
         """Find every submodule; return the steps S -> S + C taken, as id arrays.
 
-        y lies in S + C iff y + c lies in S for some c in C (C = -C). So
-        one gather of S's bit-vector through add gives every translate S - y
-        as a packed row, and OR-ing the rows of the members of each cyclic C
-        gives all the sums S + C at once; the distinct ones other than S are
-        the steps from S. The work list is taken B submodules at a time, with
-        B = max(1, _CHUNK_BYTES // n^2) fixed by n alone: one unpack, one
-        gather and one pack per chunk, then one reduceat per block of
-        cyclics of at most 8n rows. So no array made here is larger than
-        max(_CHUNK_BYTES, n^2) bytes, which at the 512-element cap is n^2,
-        a quarter of add. Sums stay bytes until they are new: one set of
-        byte strings per submodule dedupes its sums, and one dict for the
-        whole build gives each distinct submodule its discovery index.
+        S + Rx depends only on the coset x + S, and it is the union of the
+        cosets that the members of Rx meet. A coset is named by its least
+        element, so per submodule S one row cmin[y] = min(S + y), a
+        minimum.reduceat over the rows add[s], s in S, names every coset.
+        Each distinct cyclic has one generator; per S, one generator is
+        kept for each coset other than S that some generator lies in, so S
+        makes at most min(#cyclics, [M:S]) - 1 sums. A sum's bit row is
+        hit[cmin], where hit marks the cosets named by cmin at the members
+        of the cyclic, read from a member table padded with 0 (0 lies in
+        every cyclic, and its coset S in every sum).
+
+        The work list is taken B = max(1, _CHUNK_BYTES // n^2) submodules at
+        a time, and the sums of a chunk max(1, _CHUNK_BYTES // (8 (n + w)))
+        at a time, w the width of the member table. At the 512-element cap
+        that is one submodule, whose add rows take at most n^2 ints. Sums
+        stay bytes (trailing zero bytes dropped) until they are new: one
+        dict for the whole build gives each distinct submodule its
+        discovery index. Two cosets can still give one sum, so a step may
+        be recorded twice; _index_structure drops the repeats.
         """
         mod = self.module
-        n = mod.n
+        n, add = mod.n, mod.add
         per_element = mod.cyclic_masks()
-        cyclics = list(dict.fromkeys(per_element[1:]))
-        blocks = _cyclic_blocks(mod, cyclics)
         nbytes = (n + 7) // 8
+        mask_bytes = np.dtype(f"S{nbytes}")  # trailing zero bytes dropped on reading
+        # the least generator of each distinct nonzero cyclic
+        first = dict(zip(reversed(per_element), range(n - 1, -1, -1)))
+        del first[1]
+        gens = np.array(list(first.values()), dtype=np.intp)
+        ncyc = len(gens)
+        # table[i]: the members of the cyclic of gens[i], ascending and
+        # padded in front with 0 to the width w of the largest cyclic
+        table = np.where(
+            np.unpackbits(
+                np.array([c.to_bytes(nbytes, "little") for c in first], dtype=mask_bytes)
+                .view(np.uint8)
+                .reshape(ncyc, nbytes),
+                axis=1,
+                count=n,
+                bitorder="little",
+            ),
+            np.arange(n, dtype=np.min_scalar_type(n)),
+            0,
+        )
+        table.sort(axis=1)
+        w = max(map(int.bit_count, first))
+        table = table[:, n - w :]
         chunk = max(1, _CHUNK_BYTES // (n * n))
-        ncyc = len(cyclics)
-        sums = np.empty((chunk, ncyc, nbytes), dtype=np.uint8)
-        width = ncyc * nbytes
-        cuts = [slice(k, k + nbytes) for k in range(0, width, nbytes)]
-        keys = [(1).to_bytes(nbytes, "little")]  # submodules in discovery order
+        block = max(1, _CHUNK_BYTES // (8 * (n + w)))
+        cyc_ids = np.arange(ncyc)
+        keys = [b"\x01"]  # submodules in discovery order
         index = {keys[0]: 0}
-        sources, targets = array("i"), array("i")  # steps, as discovery indices
+        sources, targets = [], array("i")  # steps, as discovery indices
         pos = 0
         while pos < len(keys):
             part = keys[pos : pos + chunk]
             b = len(part)
-            raw = np.frombuffer(b"".join(part), dtype=np.uint8).reshape(b, nbytes)
-            bits = np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
-            translates = np.packbits(
-                bits[:, mod.add].reshape(b * n, n), axis=1, bitorder="little"
-            ).reshape(b, n, nbytes)
-            for lo, hi, rows, starts in blocks:
-                np.bitwise_or.reduceat(
-                    translates[:, rows], starts, axis=1, out=sums[:b, lo:hi]
-                )
-            packed = sums[:b].tobytes()
-            for k, key in enumerate(part):
-                row = packed[k * width : (k + 1) * width]
-                found = set(map(row.__getitem__, cuts))
-                found.discard(key)
-                for f in found:
-                    j = index.get(f)
-                    if j is None:
-                        if len(keys) >= self.caps.max_lattice:
-                            raise LatticeCapExceeded(
-                                f"lattice exceeds cap {self.caps.max_lattice}"
-                            )
-                        j = index[f] = len(keys)
-                        keys.append(f)
-                    sources.append(pos + k)
-                    targets.append(j)
+            bits = np.unpackbits(
+                np.array(part, dtype=mask_bytes).view(np.uint8).reshape(b, nbytes),
+                axis=1,
+                count=n,
+                bitorder="little",
+            )
+            inside = bits.nonzero()[1]  # the members of each S in turn, 0 first
+            cmin = np.minimum.reduceat(add[inside], (inside == 0).nonzero()[0], axis=0)
+            # owner[S * n + c]: a generator in the coset named c, else ncyc
+            # (of several, the scatter keeps any: they give one sum); arrays
+            # of rows are flat, row r starting at r * n
+            owner = np.full(b * n, ncyc)
+            owner[np.arange(0, b * n, n)[:, None] + cmin.take(gens, axis=1)] = cyc_ids
+            owner[::n] = ncyc
+            pairs = (owner < ncyc).nonzero()[0]
+            src = pairs // n
+            cyc = owner[pairs]
+            flat = cmin.ravel()
+            sums = []
+            for lo in range(0, len(pairs), block):
+                s, c = src[lo : lo + block], cyc[lo : lo + block]
+                starts = np.arange(0, len(s) * n, n)[:, None]
+                hit = np.zeros(len(s) * n, dtype=bool)
+                hit[starts + flat[(s * n)[:, None] + table[c]]] = True
+                rows = hit[starts + cmin[s]]
+                sums.append(np.packbits(rows, axis=1, bitorder="little").tobytes())
+            found = np.frombuffer(b"".join(sums), dtype=mask_bytes).tolist()
+            new = set(found).difference(index)
+            if len(keys) + len(new) > self.caps.max_lattice:
+                raise LatticeCapExceeded(f"lattice exceeds cap {self.caps.max_lattice}")
+            for f in new:
+                index[f] = len(keys)
+                keys.append(f)
+            sources.append(src + pos)
+            targets.extend(map(index.__getitem__, found))
             pos += b
 
         masks = [int.from_bytes(key, "little") for key in keys]
@@ -229,18 +239,19 @@ class SubmoduleLattice:
         # cyclic_ids[x]: the id of the cyclic submodule generated by x
         self.cyclic_ids = [ids[m] for m in per_element]
         id_of = np.array([ids[m] for m in masks], dtype=np.intc)
-        return id_of[np.frombuffer(sources, np.intc)], id_of[np.frombuffer(targets, np.intc)]
+        return id_of[np.concatenate(sources)], id_of[np.frombuffer(targets, np.intc)]
 
     def _index_structure(self, steps: tuple[np.ndarray, np.ndarray]) -> None:
         L = self.count
-        sources, targets = steps
         # a step always goes to a strictly larger submodule, so a higher id:
         # closing down-sets in ascending target order and up-sets in
-        # descending source order reads only finished sets
+        # descending source order reads only finished sets. The steps are
+        # sorted by target, repeats dropped.
+        key = np.sort(steps[1].astype(np.int64) * L + steps[0])
+        targets, sources = np.divmod(key[np.diff(key, prepend=-1) != 0], L)
         down = [1 << i for i in range(L)]
         up = list(down)
-        order = np.argsort(targets)
-        for a, b in zip(memoryview(sources[order]), memoryview(targets[order])):
+        for a, b in zip(memoryview(sources), memoryview(targets)):
             down[b] |= down[a]
         order = np.argsort(sources)[::-1]
         for a, b in zip(memoryview(sources[order]), memoryview(targets[order])):
@@ -248,10 +259,18 @@ class SubmoduleLattice:
         self.down = down
         self.up = up
 
-        zero_bit = 1 << self.zero_id
-        full_bit = 1 << self.full_id
-        self.atoms = tuple(i for i in range(L) if down[i] & ~zero_bit == 1 << i)
-        self.coatoms = tuple(i for i in range(L) if up[i] & ~full_bit == 1 << i)
+        # a proper containment S < T ends in a step into T from a submodule
+        # above S, and starts with a step from S to one below T; so an atom
+        # is a target of steps from 0 alone, a coatom a source of steps to M
+        # alone
+        not_atom = np.zeros(L, dtype=bool)
+        not_atom[targets[sources != self.zero_id]] = True
+        not_atom[self.zero_id] = True
+        not_coatom = np.zeros(L, dtype=bool)
+        not_coatom[sources[targets != self.full_id]] = True
+        not_coatom[self.full_id] = True
+        self.atoms = tuple((~not_atom).nonzero()[0].tolist())
+        self.coatoms = tuple((~not_coatom).nonzero()[0].tolist())
         self.atom_mask = sum(1 << a for a in self.atoms)
 
         above_atoms = up[self.zero_id]

@@ -426,7 +426,7 @@ class FiniteModule:
         if mask in self._closed_orbits:
             return
         orbit = np.flatnonzero(bits)
-        if not bits[self.add[np.ix_(orbit, orbit)]].all():
+        if not bits[self.add[orbit[:, None], orbit]].all():
             raise AssertionError("orbit not closed under +")
         if not bits[self.endos[:, orbit]].all():
             raise AssertionError("orbit not closed under action")

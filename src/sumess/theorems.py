@@ -116,8 +116,13 @@ def _elementwise_separation(az: ModuleAnalysis, u: int) -> bool:
 
 
 def _meets_imply_socle(az: ModuleAnalysis, u: int) -> bool:
-    """Every E meeting U nontrivially with U+E essential contains the socle."""
-    lat = az.lattice
+    """Every E meeting U nontrivially with U+E essential contains the socle.
+
+    For a vertex U of N(M), the E that fail are its neighbours meeting it.
+    """
+    lat, n_graph = az.lattice, az.n_graph
+    if n_graph.has_vertex(u):
+        return not (lat.meeting(u) & n_graph.rows[u])
     return not (lat.meeting(u) & ~lat.inessential_sums(u) & ~lat.up[lat.socle_id])
 
 

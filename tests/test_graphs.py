@@ -1,4 +1,5 @@
 """Graph construction, invariants (with networkx as oracle), and exports."""
+import hashlib
 import json
 import math
 import tracemalloc
@@ -115,6 +116,22 @@ def test_matrix_ring_triangle():
 
 
 # -- oracles over the corpus ----------------------------------------------------------
+
+
+def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentations):
+    """N(M) masked from S(M), as ModuleAnalysis builds it, against N(M) with
+    its rows computed from the lattice; non-vertex ids keep zero rows."""
+    lattices = [az.lattice for az in corpus_analyses.values()]
+    lattices += [enumerate_lattice(build_module(pres)) for pres, _ in ring_presentations]
+    for lat in lattices:
+        derived = proper_sum_essential_graph(lat, sum_essential_graph(lat))
+        direct = proper_sum_essential_graph(lat)
+        name = lat.module.presentation.name
+        assert derived.vertex_ids == direct.vertex_ids, name
+        assert derived.rows == direct.rows, name
+    az = next(iter(corpus_analyses.values()))
+    with pytest.raises(ValueError):
+        proper_sum_essential_graph(az.lattice, az.n_graph)
 
 
 def test_invariants_match_networkx(corpus_analyses):
@@ -341,18 +358,34 @@ def test_label_matches_decoded_generators(corpus_analyses, ring_presentations):
             assert sub.label == want, (mod.presentation.name, sub.mask)
 
 
-def test_export_dot_peak_memory(corpus_analyses):
-    """One export_dot holds at most about twice its text: the row strings and
-    the joined text."""
+class _DigestSink:
+    """A binary handle that keeps only a running digest of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, data):
+        self.digest.update(data)
+
+
+def test_export_dot_peak_memory(corpus_analyses, monkeypatch):
+    """write_dot streams the DOT text a block of rows at a time: the bytes
+    it writes are export_dot's text, and its traced peak is bounded by the
+    block size and L, not by the size of the text."""
     g = corpus_analyses["z2z2z2z2z2"].s_graph
-    g.export_dot("z2z2z2z2z2_s")  # labels made
+    text = g.export_dot("z2z2z2z2z2_s")  # labels made
+    monkeypatch.setattr(graphs_module, "_CHUNK_BYTES", 2**12)
+    bound = 32 * graphs_module._CHUNK_BYTES + 64 * g.lattice.count
+    assert bound < len(text) / 2, (bound, len(text))
+    sink = _DigestSink()
     tracemalloc.start()
     try:
-        text = g.export_dot("z2z2z2z2z2_s")
+        g.write_dot(sink, "z2z2z2z2z2_s")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * len(text), (peak, len(text))
+    assert sink.digest.digest() == hashlib.sha256(text.encode("ascii")).digest()
+    assert peak <= bound, (peak, bound)
 
 
 def test_json_report_roundtrip(z4z3):

@@ -15,6 +15,7 @@ from sumess import (
     LatticeCapExceeded,
     ModuleAnalysis,
     SubmoduleLattice,
+    abelian_presentations,
     build_module,
     enumerate_lattice,
     generated_module,
@@ -24,7 +25,7 @@ from sumess import (
     sum_essential_graph,
 )
 from sumess import lattice as lattice_module
-from sumess.lattice import _cyclic_blocks
+from sumess.modules import bits_from_mask, indices_from_mask
 from sumess.theorems import REGISTRY, _disjoints_inside_socle, _meets_imply_socle, run_catalog
 
 
@@ -152,13 +153,17 @@ def test_lattice_matches_closed_subsets(pres):
 
 def test_coordinate_subspaces_over_many_cyclic_blocks():
     """F2^7 under the diagonal idempotents: submodules are the 2^7 coordinate
-    subspaces, and the 3^7 - 1 cyclic members span several blocks."""
+    subspaces. The 3^7 - 1 cyclic members pad to a table of width 2^7, and
+    the 7 atoms, one frontier chunk, make 7 x (2^6 - 1) sums, more than one
+    block of sums holds."""
     k = 7
     pres = generated_module("f2^7", (2,) * k, [_unit(k, i, i) for i in range(k)])
     mod = build_module(pres)
     cyclics = list(dict.fromkeys(mod.cyclic_mask(x) for x in range(1, mod.n)))
     assert sum(c.bit_count() for c in cyclics) == 3**k - 1
-    assert len(_cyclic_blocks(mod, cyclics)) > 1
+    assert max(c.bit_count() for c in cyclics) == 2**k
+    assert lattice_module._CHUNK_BYTES // mod.n**2 >= k
+    assert k * (2 ** (k - 1) - 1) > lattice_module._CHUNK_BYTES // (8 * (mod.n + 2**k))
     want = {
         sum(1 << x for x in range(mod.n) if x & ~support == 0) for support in range(1 << k)
     }
@@ -220,6 +225,70 @@ def test_lattice_memory_at_element_cap(pres, count):
         tracemalloc.stop()
     assert lat.count == count
     assert peak <= 3 * mod.add.nbytes, (peak, mod.add.nbytes)
+
+
+def _lattice_by_all_cyclics(mod):
+    """Masks in canonical order, down, up and cyclic_ids, by joining each
+    submodule found with every distinct nonzero cyclic.
+
+    y lies in S + C iff y + c lies in S for some c in C (C = -C): the rows
+    of S's bit-vector gathered through add are the translates S - y, and
+    the OR of the rows of C's members is S + C. Each distinct sum other
+    than S is a step; down and up are the transitive closure of the steps.
+    """
+    n = mod.n
+    per_element = [mod.cyclic_mask(x) for x in range(n)]
+    cyclics = list(dict.fromkeys(per_element[1:]))
+    members = [indices_from_mask(c, n) for c in cyclics]
+    rows = np.concatenate(members)
+    starts = np.cumsum([0] + [len(m) for m in members[:-1]])
+    found = {1: None}
+    queue = [1]
+    steps = set()
+    for mask in queue:
+        translates = np.packbits(bits_from_mask(mask, n)[mod.add], axis=1, bitorder="little")
+        sums = np.bitwise_or.reduceat(translates[rows], starts, axis=0)
+        for row in sums:
+            total = int.from_bytes(row.tobytes(), "little")
+            if total != mask:
+                steps.add((mask, total))
+                if total not in found:
+                    found[total] = None
+                    queue.append(total)
+    masks = sorted(found, key=lambda m: (m.bit_count(), [x for x in range(n) if m >> x & 1]))
+    ids = {m: i for i, m in enumerate(masks)}
+    down = [1 << i for i in range(len(masks))]
+    up = list(down)
+    pairs = [(ids[a], ids[b]) for a, b in steps]
+    for a, b in sorted(pairs, key=lambda p: p[1]):
+        down[b] |= down[a]
+    for a, b in sorted(pairs, key=lambda p: -p[0]):
+        up[a] |= up[b]
+    return masks, down, up, [ids[m] for m in per_element]
+
+
+def _abelian_up_to(order):
+    """One integer module per abelian group of order 2..order."""
+    primes = [p for p in range(2, order + 1) if all(p % d for d in range(2, p))]
+    return [integer_module(f"z{p}", p) for p in primes] + abelian_presentations(order)
+
+
+def test_coset_sums_match_all_cyclic_sums(ring_presentations):
+    """The enumeration by one sum per coset builds the masks, down, up and
+    cyclic_ids that joining every submodule with every cyclic builds, on
+    every abelian group of order <= 64, the nine generated families, and
+    F2^9 under its diagonal idempotents."""
+    presentations = _abelian_up_to(64) + [pres for pres, _ in ring_presentations]
+    presentations.append(generated_module("f2^9", (2,) * 9, [_unit(9, i, i) for i in range(9)]))
+    assert len(presentations) == 116 + 9 + 1  # 116 abelian groups of order 2..64
+    for pres in presentations:
+        mod = build_module(pres)
+        lat = enumerate_lattice(mod)
+        masks, down, up, cyclic_ids = _lattice_by_all_cyclics(mod)
+        assert [s.mask for s in lat.subs] == masks, pres.name
+        assert lat.down == down, pres.name
+        assert lat.up == up, pres.name
+        assert lat.cyclic_ids == cyclic_ids, pres.name
 
 
 @pytest.mark.parametrize(

@@ -88,15 +88,16 @@ def test_traced_hooks_read_existing_attributes():
 
 
 def test_corpus_dot_text_made_by_export_dot(monkeypatch, tmp_path):
-    """run_corpus makes each DOT text with one call of corpus.export_dot,
-    the name the tracer times as graphs.dot, and writes it unchanged."""
+    """run_corpus writes each DOT file with one call of corpus.export_dot,
+    the name the tracer times as graphs.dot, which streams the graph's DOT
+    text unchanged to the open binary file."""
     made = []
     export_dot = sumess.corpus.export_dot
 
-    def counting(graph, name=None):
-        text = export_dot(graph, name)
-        made.append((name, text))
-        return text
+    def counting(graph, name, fh):
+        assert "b" in fh.mode
+        made.append((name, graph.export_dot(name)))
+        export_dot(graph, name, fh)
 
     monkeypatch.setattr(sumess.corpus, "export_dot", counting)
     result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8), dot_dir=str(tmp_path))
@@ -104,4 +105,4 @@ def test_corpus_dot_text_made_by_export_dot(monkeypatch, tmp_path):
     assert len(modules) > 1
     assert sorted(name for name, _ in made) == sorted(f"{m}_{k}" for m in modules for k in "sn")
     for name, text in made:
-        assert (tmp_path / f"{name}.dot").read_text() == text
+        assert (tmp_path / f"{name}.dot").read_bytes() == text.encode("ascii")
