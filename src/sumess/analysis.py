@@ -1,7 +1,9 @@
 """Per-module analysis bundle: module, lattice, graphs, derived caches.
 
 Checkers and the CLI go through this object so the lattice and both graphs
-are built once per module and shared.
+are built once per module and shared; N(M) is masked from the S(M) built
+here. The submodule predicates read the lattice order's bit-sets, and the
+isomorphism and hom searches are cached per pair of lattice ids.
 """
 from __future__ import annotations
 
@@ -68,12 +70,9 @@ class ModuleAnalysis:
         return got
 
     def sub_is_semisimple(self, i: int) -> bool:
-        """A submodule equals the join of the atoms below it iff semisimple."""
-        lat = self.lattice
-        acc = lat.zero_id
-        for a in lat.atoms_below(i):
-            acc = lat.join(acc, a)
-        return acc == i
+        """A submodule is semisimple iff it lies in the socle, since
+        soc(N) = N ∩ soc(M)."""
+        return self.lattice.leq(i, self.lattice.socle_id)
 
     def atom_iso_classes(self) -> list[list[int]]:
         """Atoms grouped by isomorphism, each class in canonical order."""
@@ -99,14 +98,15 @@ class ModuleAnalysis:
             None,
         )
 
-    def has_isomorphic_twin(self, i: int) -> bool:
-        """True iff some other submodule of M is isomorphic to subs[i]."""
+    def has_isomorphic_twin(self, a: int) -> bool:
+        """True iff some other submodule of M is isomorphic to the simple
+        submodule subs[a]. A submodule isomorphic to a simple one is simple,
+        so only the atoms are asked; a non-atom raises ValueError."""
         lat = self.lattice
-        size = lat.subs[i].size
-        for j, s in enumerate(lat.subs):
-            if j != i and s.size == size and self.iso(i, j):
-                return True
-        return False
+        if not lat.atom_mask >> a & 1:
+            raise ValueError(f"submodule {a} is not simple")
+        size = lat.subs[a].size
+        return any(b != a and lat.subs[b].size == size and self.iso(a, b) for b in lat.atoms)
 
     def report_dict(self) -> dict:
         """Full JSON-ready analysis report; field order fixed."""

@@ -75,9 +75,6 @@ def cmd_analyze(args) -> int:
         if args.report:
             with open(args.report, "w") as fh:
                 fh.write(az.report_json())
-    except SpecFileError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
@@ -136,12 +133,6 @@ def cmd_verify(args) -> int:
         pres = load_spec(args.spec)
         az = ModuleAnalysis(pres, caps=caps)
         verdict = run_catalog(az, args.theorem_id)[0]
-    except UnknownTheoremId as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except SpecFileError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

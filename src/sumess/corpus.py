@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from .analysis import ModuleAnalysis
-from .errors import CapExceeded, Caps, SpecFileError, UnknownTheoremId
+from .errors import CapExceeded, Caps, SpecFileError
 from .graphs import EssGraph
 from .modules import ModulePresentation, generated_module, integer_module
-from .theorems import CATALOG_ALL, CORPUS_GATES, REGISTRY, run_catalog
+from .theorems import CORPUS_GATES, run_catalog, selected_ids
 
 
 @dataclass(frozen=True)
@@ -140,22 +140,6 @@ def enumerate_corpus(cspec: CorpusSpec) -> list[ModulePresentation]:
     return items
 
 
-def _selected_ids(theorem_ids) -> tuple[str, ...]:
-    if theorem_ids == "all":
-        base = list(CATALOG_ALL)
-    elif isinstance(theorem_ids, str):
-        base = [theorem_ids]
-    else:
-        base = list(theorem_ids)
-    for tid in base:
-        if tid not in REGISTRY:
-            raise UnknownTheoremId(f"unknown theorem id {tid!r}")
-    for gate in CORPUS_GATES:
-        if gate not in base:
-            base.append(gate)
-    return tuple(base)
-
-
 def export_dot(graph: EssGraph, name: str, fh: BinaryIO) -> None:
     """Write one DOT file: the graph's DOT text to the binary handle fh,
     a block of rows at a time (EssGraph.write_dot)."""
@@ -202,7 +186,9 @@ def run_corpus(
     finishes (see _run_item); no DOT text is held whole.
     """
     caps = caps or Caps()
-    ids = _selected_ids(cspec.theorem_ids)
+    # unknown ids raise here, before any module runs
+    ids = selected_ids(cspec.theorem_ids)
+    ids += tuple(gate for gate in CORPUS_GATES if gate not in ids)
     items = enumerate_corpus(cspec)
     tasks = [(pres, ids, caps, dot_dir) for pres in items]
     if dot_dir is not None:

@@ -6,16 +6,16 @@ submodule. The full graph takes all nontrivial submodules; the proper variant
 keeps only the non-essential ones.
 
 Adjacency is stored as one bitmask int per lattice id, over lattice ids (0
-for non-vertices), so graph and lattice share one index space. Rows are built
-from the lattice's up- and down-sets, with no vertex-pair table. Adjacency is
-monotone in the submodule order: if u <= u' are vertices, u ~ v and v != u',
-then u' ~ v, since u' + v contains the essential u + v. Balls therefore grow
-through the rows of the maximal vertices alone, and eccentricity falls as a
-vertex grows, so the diameter is the largest eccentricity of an atom: ball
-walks start from the atoms only.
+for non-vertices), so graph and lattice share one index space. The rows of
+S(M) are built from the lattice's up- and down-sets, with no vertex-pair
+table. Adjacency is monotone in the submodule order: if u <= u' are
+vertices, u ~ v and v != u', then u' ~ v, since u' + v contains the
+essential u + v. Balls therefore grow through the rows of the maximal
+vertices alone, and eccentricity falls as a vertex grows, so the diameter is
+the largest eccentricity of an atom: ball walks start from the atoms only.
 
-N(M) is the subgraph of S(M) induced on the non-essential vertices, so
-given S(M), the rows of N(M) are its rows masked to the N vertices.
+N(M) is the subgraph of S(M) induced on the non-essential vertices, so the
+rows of N(M) are always the rows of S(M) masked to the N vertices.
 
 DOT is written to a binary handle a block of rows at a time, at most
 _CHUNK_BYTES unpacked bytes of adjacency per block (write_dot), so it holds
@@ -47,9 +47,8 @@ class EssGraph:
         """The graph S(M) (kind "s") or N(M) (kind "n") on the lattice.
 
         N(M) is the subgraph of S(M) induced on the non-essential vertices,
-        so given s_graph, the S(M) of the same lattice, the rows of N(M) are
-        its rows masked to the N vertices; otherwise they are computed from
-        the lattice.
+        so its rows are the rows of s_graph, the S(M) of the same lattice,
+        masked to the N vertices; kind "n" needs s_graph.
         """
         if kind not in ("s", "n"):
             raise ValueError("kind must be 's' or 'n'")
@@ -65,14 +64,14 @@ class EssGraph:
         self._top_bits = sum(1 << top for top in lattice.maximal(bits))
 
         self.rows = [0] * lattice.count
-        if kind == "n" and s_graph is not None:
-            if s_graph.lattice is not lattice or s_graph.kind != "s":
-                raise ValueError("s_graph must be the S graph of the same lattice")
-            for lid in self.vertex_ids:
-                self.rows[lid] = s_graph.rows[lid] & bits
-        else:
+        if kind == "s":
             for lid in self.vertex_ids:
                 self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
+        elif s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s":
+            raise ValueError("s_graph must be the S graph of the same lattice")
+        else:
+            for lid in self.vertex_ids:
+                self.rows[lid] = s_graph.rows[lid] & bits
         self._diameter: float | None = None
         self._girth: float | None = None
 
@@ -442,28 +441,28 @@ def n_partite_witness(lattice: SubmoduleLattice, s_graph: EssGraph) -> NPartiteW
     """Constructive side of the n-partiteness dichotomy over the coatoms.
 
     Semisimple case: class vertex A into the part of the first coatom
-    containing it; parts are checked nonempty and independent. Otherwise the
-    radical is nonzero and {complement-of-radical, coatoms} is checked to be
-    an (n+1)-clique, which rules any n-partition out. When the radical is
-    essential it has no nonzero complement, but it is then itself adjacent
-    to every coatom, so it serves as the extra clique vertex.
+    containing it, so a coatom's part is the vertices of its down-set that
+    no earlier coatom took; parts are checked nonempty and independent.
+    Otherwise the radical is nonzero and {complement-of-radical, coatoms} is
+    checked to be an (n+1)-clique, which rules any n-partition out. When the
+    radical is essential it has no nonzero complement, but it is then itself
+    adjacent to every coatom, so it serves as the extra clique vertex.
     """
     coatoms = lattice.coatoms
     n = len(coatoms)
     if n < 2:
         raise HypothesisNotMet(f"need at least 2 maximal submodules, have {n}")
     if lattice.radical_id == lattice.zero_id:
-        parts: list[list[int]] = [[] for _ in range(n)]
-        for v in s_graph.vertex_ids:
-            for k, c in enumerate(coatoms):
-                if lattice.leq(v, c):
-                    parts[k].append(v)
-                    break
-            else:
-                return NPartiteWitness(
-                    "partition", None, None, False,
-                    f"vertex {v} lies in no maximal submodule",
-                )
+        parts: list[tuple[int, ...]] = []
+        left = s_graph.vertex_bits
+        for c in coatoms:
+            parts.append(tuple(_iter_bits(left & lattice.down[c])))
+            left &= ~lattice.down[c]
+        if left:
+            return NPartiteWitness(
+                "partition", None, None, False,
+                f"vertex {next(_iter_bits(left))} lies in no maximal submodule",
+            )
         for k, part in enumerate(parts):
             if not part:
                 return NPartiteWitness(
@@ -473,10 +472,7 @@ def n_partite_witness(lattice: SubmoduleLattice, s_graph: EssGraph) -> NPartiteW
                 return NPartiteWitness(
                     "partition", None, None, False, f"part {k} has an internal edge"
                 )
-        return NPartiteWitness(
-            "partition", tuple(tuple(p) for p in parts), None, True,
-            f"{n} independent parts",
-        )
+        return NPartiteWitness("partition", tuple(parts), None, True, f"{n} independent parts")
 
     rad = lattice.radical_id
     if lattice.is_essential(rad):
@@ -502,6 +498,9 @@ def sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
 def proper_sum_essential_graph(
     lattice: SubmoduleLattice, s_graph: EssGraph | None = None
 ) -> EssGraph:
+    """N(M), masked from s_graph, or from a new S(M) when none is given."""
+    if s_graph is None:
+        s_graph = EssGraph(lattice, "s")
     return EssGraph(lattice, "n", s_graph)
 
 

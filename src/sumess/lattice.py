@@ -299,9 +299,6 @@ class SubmoduleLattice:
     def leq(self, i: int, j: int) -> bool:
         return bool(self.down[j] >> i & 1)
 
-    def nontrivial_ids(self) -> list[int]:
-        return list(range(self.zero_id + 1, self.full_id))
-
     # -- essentiality --------------------------------------------------------
 
     def is_essential(self, i: int) -> bool:

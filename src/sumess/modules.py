@@ -329,7 +329,7 @@ class FiniteModule:
         return int(sum(int(c) % d * s for c, d, s in zip(coords, self.moduli, self._strides)))
 
     def decode(self, index: int) -> tuple[int, ...]:
-        return tuple(self._coords[index].tolist())
+        return tuple(self._coords[self._as_index(index)].tolist())
 
     def element_text(self, index: int) -> str:
         """Coordinates of an element as text, "(c0,c1,...)"; made on first use."""
@@ -343,9 +343,11 @@ class FiniteModule:
         return Element(self.decode(idx), idx)
 
     def _as_index(self, m) -> int:
-        if isinstance(m, Element):
-            return m.index
-        return int(m)
+        """The element index of m, an Element or an index in [0, n)."""
+        index = m.index if isinstance(m, Element) else int(m)
+        if not 0 <= index < self.n:
+            raise ValueError(f"element index {index} outside [0, {self.n})")
+        return index
 
     # -- annihilators ------------------------------------------------------
 
@@ -378,9 +380,6 @@ class FiniteModule:
 
     def submodule_from_mask(self, mask: int) -> Submodule:
         return Submodule(self, mask)
-
-    def full_submodule(self) -> Submodule:
-        return Submodule(self, (1 << self.n) - 1)
 
     def cyclic_mask(self, index: int) -> int:
         cached = self._cyclic_mask_cache.get(index)
@@ -448,12 +447,6 @@ class FiniteModule:
             mask_a, mask_b = mask_b, mask_a
         rows = self.add[indices_from_mask(mask_b, self.n)]
         return _mask_from_bits(bits_from_mask(mask_a, self.n)[rows].any(axis=0))
-
-    def span_mask(self, indices) -> int:
-        mask = 1
-        for x in indices:
-            mask = self.join_masks(mask, self.cyclic_mask(int(x)))
-        return mask
 
 
 def build_module(presentation: ModulePresentation, caps: Caps | None = None) -> FiniteModule:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .analysis import ModuleAnalysis
 from .errors import HypothesisNotMet, UnknownTheoremId
 from .graphs import EssGraph, n_partite_witness
-from .lattice import SubmoduleLattice
+from .lattice import SubmoduleLattice, _iter_bits
 
 
 @dataclass(frozen=True)
@@ -115,21 +115,20 @@ def _elementwise_separation(az: ModuleAnalysis, u: int) -> bool:
     return True
 
 
-def _meets_imply_socle(az: ModuleAnalysis, u: int) -> bool:
+def _meets_imply_socle(az: ModuleAnalysis, u: int, meeting: int) -> bool:
     """Every E meeting U nontrivially with U+E essential contains the socle.
 
-    For a vertex U of N(M), the E that fail are its neighbours meeting it.
+    U is a vertex of N(M) and meeting is lattice.meeting(u): the E that fail
+    are the neighbours of U meeting it.
     """
-    lat, n_graph = az.lattice, az.n_graph
-    if n_graph.has_vertex(u):
-        return not (lat.meeting(u) & n_graph.rows[u])
-    return not (lat.meeting(u) & ~lat.inessential_sums(u) & ~lat.up[lat.socle_id])
+    return not (meeting & az.n_graph.rows[u])
 
 
-def _disjoints_inside_socle(az: ModuleAnalysis, u: int) -> bool:
-    """Every E meeting U trivially lies inside the socle."""
+def _disjoints_inside_socle(az: ModuleAnalysis, meeting: int) -> bool:
+    """Every E meeting U trivially lies inside the socle; meeting is
+    lattice.meeting(u)."""
     lat = az.lattice
-    return not (lat.down[lat.full_id] & ~lat.meeting(u) & ~lat.down[lat.socle_id])
+    return not (lat.down[lat.full_id] & ~meeting & ~lat.down[lat.socle_id])
 
 
 def _socle_meet_unique_complement(az: ModuleAnalysis, u: int) -> bool:
@@ -170,7 +169,8 @@ def _degree_one(g: EssGraph) -> list[int]:
 
 def _short_chain(az: ModuleAnalysis) -> bool:
     lat = az.lattice
-    return lat.is_chain() and len(lat.nontrivial_ids()) == 2
+    # a chain 0 < A < B < M: two nontrivial submodules
+    return lat.is_chain() and lat.count == 4
 
 
 # -- corpus gates ------------------------------------------------------------------
@@ -340,7 +340,7 @@ def _check_cor_2_7(az: ModuleAnalysis) -> TheoremVerdict:
         "has_degree_one_vertex": bool(_degree_one(s)),
         "multiplicity_free_simple_or_short_chain": (
             lat.is_semisimple()
-            and any(not az.has_isomorphic_twin(a) for a in lat.atoms if a != lat.full_id)
+            and any(not az.has_isomorphic_twin(a) for a in lat.atoms)
         )
         or _short_chain(az),
     }
@@ -391,7 +391,8 @@ def _check_thm_2_18(az: ModuleAnalysis) -> TheoremVerdict:
     deg1 = _degree_one(n)
     ok = True
     if not all(_is_atom(lat, v) for v in deg1):
-        largest = [v for v in deg1 if all(lat.leq(w, v) for w in deg1)]
+        deg1_bits = sum(1 << v for v in deg1)
+        largest = [v for v in deg1 if not deg1_bits & ~lat.down[v]]
         ok = len(largest) == 1
     return _asserted(
         tid,
@@ -525,11 +526,11 @@ def check_example_degree_formula(az: ModuleAnalysis) -> TheoremVerdict:
             formula_ok = False
             witness = f"deg({_lbl(az, v)}) = {s.degree(v)}, expected {want}"
             break
-    rep = s.report()
+    degrees = s.degrees().values()
     coatom_deg = 2 ** (n_atoms - 1) - 1
     extremes_ok = (
-        rep.max_degree == coatom_deg
-        and rep.min_degree == 1
+        max(degrees) == coatom_deg
+        and min(degrees) == 1
         and all(s.degree(c) == coatom_deg for c in lat.coatoms)
         and all(s.degree(a) == 1 for a in lat.atoms)
     )
@@ -566,16 +567,14 @@ def check_deg1_in_N(az: ModuleAnalysis) -> TheoremVerdict:
     agree_ok = True
     iso_restate_ok = True
     for u in n.vertex_ids:
+        meeting = lat.meeting(u)
+        meets_ok = _meets_imply_socle(az, u, meeting)
         cond_i = lat.is_uniform(u) and _unique_semisimple_complement(az, u)
         s1 = n.degree(u) == 1
         s2 = cond_i and _elementwise_separation(az, u)
-        s3 = cond_i and _meets_imply_socle(az, u)
+        s3 = cond_i and meets_ok
         s4_iii = lat.is_uniform(u) and _socle_meet_unique_complement(az, u)
-        s4 = (
-            _disjoints_inside_socle(az, u)
-            and _meets_imply_socle(az, u)
-            and s4_iii
-        )
+        s4 = _disjoints_inside_socle(az, meeting) and meets_ok and s4_iii
         if not (s1 == s2 == s3 == s4):
             agree_ok = False
             witness = (
@@ -606,9 +605,7 @@ def check_deg1_in_N(az: ModuleAnalysis) -> TheoremVerdict:
                 consequences_ok = False
                 witness = f"degree-1 vertex {_lbl(az, u)} not uniform"
                 break
-            below = [
-                b for b in n.vertex_ids if lat.leq(b, u) and n.degree(b) != 1
-            ]
+            below = [b for b in _iter_bits(lat.down[u] & n.vertex_bits) if n.degree(b) != 1]
             if below:
                 consequences_ok = False
                 witness = f"vertex {_lbl(az, below[0])} below degree-1 {_lbl(az, u)} has degree {n.degree(below[0])}"
@@ -782,8 +779,9 @@ REGISTRY = {
 }
 
 
-def run_catalog(az: ModuleAnalysis, ids="all") -> list[TheoremVerdict]:
-    """Run the selected checkers in fixed order; unknown ids raise."""
+def selected_ids(ids="all") -> tuple[str, ...]:
+    """The checker ids named by ids, in order: "all" (CATALOG_ALL), one id,
+    or an iterable of ids; unknown ids raise UnknownTheoremId."""
     if ids == "all":
         selected = CATALOG_ALL
     elif isinstance(ids, str):
@@ -793,4 +791,9 @@ def run_catalog(az: ModuleAnalysis, ids="all") -> list[TheoremVerdict]:
     for tid in selected:
         if tid not in REGISTRY:
             raise UnknownTheoremId(f"unknown theorem id {tid!r}")
-    return [REGISTRY[tid](az) for tid in selected]
+    return selected
+
+
+def run_catalog(az: ModuleAnalysis, ids="all") -> list[TheoremVerdict]:
+    """Run the selected checkers in fixed order; unknown ids raise."""
+    return [REGISTRY[tid](az) for tid in selected_ids(ids)]

@@ -116,6 +116,12 @@ def test_verify_unknown_id(z4_spec, capsys):
     assert "unknown theorem id" in capsys.readouterr().err
 
 
+def test_verify_missing_file(tmp_path, capsys):
+    path = tmp_path / "nope.modspec"
+    assert main(["verify", str(path), "thm-1.5"]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}:0:")
+
+
 def test_verify_fail_exit_code(z8z2_spec, capsys, monkeypatch):
     import sumess.theorems as theorems
 
@@ -214,18 +220,39 @@ def test_corpus_duplicate_module_name(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def test_console_script_installed(z4_spec):
+def _child_env():
     # the child imports the same sumess as this test, installed or not
     src = str(Path(sumess.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_installed(z4_spec):
     proc = subprocess.run(
         [sys.executable, "-m", "sumess.cli", "analyze", z4_spec],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "module z4" in proc.stdout
+
+
+def test_corpus_csv_same_under_optimize(tmp_path):
+    """`python -O` strips assert statements; the corpus CSV must not change."""
+    texts = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"corpus{len(flags)}.csv"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "sumess.cli", "corpus", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert texts[0].count(b"\n") > 500
 
 
 def test_cli_output_deterministic(z8z2_spec, capsys):

@@ -1,4 +1,6 @@
 """Corpus enumeration (one module per isomorphism class) and batch runs."""
+import functools
+
 import pytest
 
 from sumess import (
@@ -82,19 +84,12 @@ def test_representatives_pairwise_nonisomorphic():
         for i, m1 in enumerate(classes):
             for m2 in classes[i:]:
                 mod = build_module(integer_module("pair", *(m1 + m2)))
-                first = mod.submodule_from_mask(
-                    mod.span_mask(
-                        [mod.encode(tuple(int(t == j) for t in range(mod.k))) for j in range(len(m1))]
-                    )
-                )
-                second = mod.submodule_from_mask(
-                    mod.span_mask(
-                        [
-                            mod.encode(tuple(int(t == j) for t in range(mod.k)))
-                            for j in range(len(m1), len(m1) + len(m2))
-                        ]
-                    )
-                )
+                units = [
+                    mod.cyclic_mask(mod.encode(tuple(int(t == j) for t in range(mod.k))))
+                    for j in range(mod.k)
+                ]
+                first = mod.submodule_from_mask(functools.reduce(mod.join_masks, units[: len(m1)]))
+                second = mod.submodule_from_mask(functools.reduce(mod.join_masks, units[len(m1) :]))
                 assert is_isomorphic(first, second) == (m1 == m2), (m1, m2)
 
 

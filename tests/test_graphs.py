@@ -119,17 +119,27 @@ def test_matrix_ring_triangle():
 
 
 def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentations):
-    """N(M) masked from S(M), as ModuleAnalysis builds it, against N(M) with
-    its rows computed from the lattice; non-vertex ids keep zero rows."""
-    lattices = [az.lattice for az in corpus_analyses.values()]
-    lattices += [enumerate_lattice(build_module(pres)) for pres, _ in ring_presentations]
-    for lat in lattices:
-        derived = proper_sum_essential_graph(lat, sum_essential_graph(lat))
-        direct = proper_sum_essential_graph(lat)
+    """N(M) masked from S(M), as ModuleAnalysis builds it, against the
+    definition: u ~ v iff u != v are non-essential nonzero submodules whose
+    join is essential; non-vertex ids keep zero rows."""
+    analyses = list(corpus_analyses.values())
+    analyses += [ModuleAnalysis(pres) for pres, _ in ring_presentations]
+    for az in analyses:
+        lat, n = az.lattice, az.n_graph
         name = lat.module.presentation.name
-        assert derived.vertex_ids == direct.vertex_ids, name
-        assert derived.rows == direct.rows, name
-    az = next(iter(corpus_analyses.values()))
+        vertices = [
+            i for i in range(lat.count)
+            if i not in (lat.zero_id, lat.full_id) and not lat.is_essential(i)
+        ]
+        assert list(n.vertex_ids) == vertices, name
+        want = [0] * lat.count
+        for u in vertices:
+            for v in vertices:
+                if u != v and lat.is_essential(lat.join(u, v)):
+                    want[u] |= 1 << v
+        assert n.rows == want, name
+        assert proper_sum_essential_graph(lat).rows == want, name
+    az = analyses[0]
     with pytest.raises(ValueError):
         proper_sum_essential_graph(az.lattice, az.n_graph)
 

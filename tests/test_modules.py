@@ -96,6 +96,21 @@ def test_invalid_moduli():
             m.element(wrong)
 
 
+def test_element_index_out_of_range():
+    """Indices outside [0, n) raise ValueError, not wrap round or IndexError."""
+    m = _mod(4, 2)
+    assert m.n == 8
+    for bad in (-1, 8, 100):
+        with pytest.raises(ValueError, match="outside"):
+            m.cyclic_submodule(bad)
+        with pytest.raises(ValueError, match="outside"):
+            m.decode(bad)
+        with pytest.raises(ValueError, match="outside"):
+            m.ann_mask(bad)
+    assert m.cyclic_submodule(7).mask == m.cyclic_mask(7)
+    assert m.decode(7) == (3, 1)
+
+
 def test_element_cap():
     with pytest.raises(ElementCapExceeded):
         build_module(integer_module("m", *([2] * 10)))
@@ -282,9 +297,11 @@ def test_cyclic_submodule_is_least(moduli, data):
 
 
 def test_span_join_agree():
+    """The join of two cyclic submodules is the set of sums of their members."""
     m = _mod(4, 6)
-    a, b = 3, 7
-    assert m.span_mask([a, b]) == m.join_masks(m.cyclic_mask(a), m.cyclic_mask(b))
+    a, b = m.cyclic_submodule(3), m.cyclic_submodule(7)
+    span = {int(m.add[x, y]) for x in a.members for y in b.members}
+    assert m.join_masks(a.mask, b.mask) == sum(1 << x for x in span)
 
 
 # -- hom counting ---------------------------------------------------------------
@@ -304,7 +321,7 @@ def test_count_homs_gcd_identities(z12):
 def test_count_homs_matrix_sizes():
     # maps Z2^2 -> Z2^2 are 2x2 matrices over F2
     m = _mod(2, 2)
-    full = m.full_submodule()
+    full = m.submodule_from_mask((1 << m.n) - 1)
     assert count_homs(full, full) == 16
     sub = m.cyclic_submodule(1)
     assert count_homs(sub, full) == 4
@@ -354,7 +371,7 @@ def test_is_isomorphic_distinguishes_shape():
     # size-4 submodules: the cyclic <(1,0)> (shape Z4) and <(2,0),(0,1)> (shape Z2xZ2)
     z4 = m.cyclic_submodule(m.encode((1, 0)))
     klein = m.submodule_from_mask(
-        m.span_mask([m.encode((2, 0)), m.encode((0, 1))])
+        m.join_masks(m.cyclic_mask(m.encode((2, 0))), m.cyclic_mask(m.encode((0, 1))))
     )
     assert z4.size == klein.size == 4
     assert not is_isomorphic(z4, klein)

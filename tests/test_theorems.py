@@ -9,6 +9,7 @@ from sumess import (
     REGISTRY,
     UnknownTheoremId,
     integer_module,
+    is_isomorphic,
     run_catalog,
 )
 from sumess.theorems import (
@@ -243,6 +244,43 @@ def test_prop_2_5_verdict(corpus_analyses):
 
 def test_prop_2_5_inapplicable_nonsemisimple(z8z2):
     assert not REGISTRY["prop-2.5"](z8z2).applicable
+
+
+def _twin_by_scan(az, i):
+    """Some other submodule isomorphic to subs[i], scanning every submodule."""
+    subs = az.lattice.subs
+    return any(
+        j != i and s.size == subs[i].size and is_isomorphic(subs[i], s)
+        for j, s in enumerate(subs)
+    )
+
+
+def _semisimple_by_join_fold(az, i):
+    """subs[i] is the join of the atoms below it, folded one join at a time."""
+    lat = az.lattice
+    acc = lat.zero_id
+    for a in lat.atoms_below(i):
+        acc = lat.join(acc, a)
+    return acc == i
+
+
+def test_analysis_predicates_match_scans(corpus_analyses, ring_presentations):
+    """has_isomorphic_twin, which asks the atoms only, against a scan of every
+    submodule; sub_is_semisimple, which reads containment in the socle,
+    against the join of the atoms below; for every id of the default corpus
+    and the nine generated families."""
+    analyses = list(corpus_analyses.values())
+    analyses += [ModuleAnalysis(pres) for pres, _ in ring_presentations]
+    for az in analyses:
+        lat = az.lattice
+        name = lat.module.presentation.name
+        for i in range(lat.count):
+            assert az.sub_is_semisimple(i) == _semisimple_by_join_fold(az, i), (name, i)
+            if i in lat.atoms:
+                assert az.has_isomorphic_twin(i) == _twin_by_scan(az, i), (name, i)
+            else:
+                with pytest.raises(ValueError):
+                    az.has_isomorphic_twin(i)
 
 
 def test_thm_2_13_star_module(z8z3):
