@@ -13,13 +13,7 @@ import sys
 
 from .analysis import ModuleAnalysis
 from .corpus import CorpusSpec, run_corpus, write_csv
-from .errors import (
-    CapExceeded,
-    SpecFileError,
-    SumEssError,
-    UnknownTheoremId,
-    caps_from_env,
-)
+from .errors import CapExceeded, SumEssError, caps_from_env
 from .specfile import load_spec
 from .theorems import run_catalog
 
@@ -104,7 +98,7 @@ def cmd_corpus(args) -> int:
     )
     try:
         result = run_corpus(cspec, caps=caps, jobs=args.jobs, dot_dir=args.dot_dir)
-    except (SpecFileError, UnknownTheoremId) as exc:
+    except SumEssError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     write_csv(result.rows, args.out)

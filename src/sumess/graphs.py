@@ -33,7 +33,8 @@ from typing import BinaryIO, Iterable, Iterator
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .lattice import SubmoduleLattice, _iter_bits
+from .lattice import SubmoduleLattice
+from .modules import _iter_bits
 
 INF = math.inf
 

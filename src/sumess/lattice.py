@@ -42,7 +42,7 @@ from math import prod
 import numpy as np
 
 from .errors import Caps, LatticeCapExceeded
-from .modules import FiniteModule, Submodule, irredundant_gens
+from .modules import FiniteModule, Submodule, _iter_bits, irredundant_gens
 
 # Work per frontier chunk: B = max(1, _CHUNK_BYTES // n^2) submodules at a
 # time, one at the 512-element cap, and their sums in blocks of
@@ -73,13 +73,6 @@ class StronglyDisjointReport:
 
 def _low_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class JoinIndex:

@@ -3,10 +3,16 @@
 A module is presented as a finite abelian group Z_{d1} + ... + Z_{dk}
 (mixed-radix coordinates) together with an action: either the integers
 acting by scalars, or a generated action given by k-by-k integer matrices.
-The action ring is materialized as endomorphism function tables: the additive
-span of the identity and all composites of the generator tables, enumerated
-one coset of a new word at a time. It always contains the identity and the
-zero map; for the integer action it is the scalars 0..exponent-1.
+The generator tables (gen_tables, one function table per matrix, none for
+the integers) are the working action: a subgroup closed under them is a
+submodule, and an additive map commuting with them commutes with every sum
+of their words, so hom and iso search and the closure check of cyclic
+submodules read the generators only. The action ring is materialized too,
+as endomorphism function tables: the additive span of the identity and all
+composites of the generator tables, enumerated one coset of a new word at
+a time. It always contains the identity and the zero map; for the integer
+action it is the scalars 0..exponent-1. It serves the scatter of the
+cyclic submodules, the annihilators and the ring size (endo_count).
 
 Elements are addressed by a dense index: index = sum(c_i * stride_i) with
 stride_0 = 1 and stride_i = stride_{i-1} * d_{i-1}, so the first coordinate
@@ -21,7 +27,6 @@ formatted once, from per-element coordinate texts made on first use.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
 
@@ -79,6 +84,13 @@ def integer_module(name: str, *moduli: int) -> ModulePresentation:
 def generated_module(name: str, moduli, matrices) -> ModulePresentation:
     gens = tuple(tuple(tuple(int(v) for v in row) for row in g) for g in matrices)
     return ModulePresentation(name, tuple(moduli), GeneratedAction(gens))
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_from_bits(bits: np.ndarray) -> int:
@@ -210,7 +222,7 @@ class Submodule:
 
 
 class FiniteModule:
-    """Concrete finite module: arithmetic tables plus the action ring."""
+    """Concrete finite module: arithmetic tables, generator tables, action ring."""
 
     def __init__(self, presentation: ModulePresentation, caps: Caps | None = None):
         self.caps = caps or Caps()
@@ -245,14 +257,20 @@ class FiniteModule:
         self.add = (s @ self._strides).astype(np.int32)
         self.neg = (((-coords) % self._mod_arr) @ self._strides).astype(np.int32)
 
-        self.endos = self._build_action_ring(presentation.action)
-        self.endo_count = self.endos.shape[0]
+        action = presentation.action
+        self.gen_tables = (
+            [self._matrix_table(g) for g in action.generators] if isinstance(action, GeneratedAction) else []
+        )
+        self.endos = self._build_action_ring()
 
         self._element_texts: dict[int, str] = {}
-        self._cyclic_mask_cache: dict[int, int] = {}
-        self._closed_orbits: set[int] = set()
+        self._cyclics = None
         self._ann_mask_cache: dict[int, int] = {}
         self._ann_class_cache = None
+
+    @property
+    def endo_count(self) -> int:
+        return self.endos.shape[0]
 
     # -- construction ------------------------------------------------------
 
@@ -279,8 +297,8 @@ class FiniteModule:
         if not np.array_equal(lhs, rhs):
             raise IllFormedGenerator("generator table is not additive")
 
-    def _build_action_ring(self, action) -> np.ndarray:
-        """The subring of End(M) generated by the action, one table per row.
+    def _build_action_ring(self) -> np.ndarray:
+        """The subring of End(M) generated by gen_tables, one table per row.
 
         That subring is the additive span of the words in the generator
         tables (the empty word is the identity): words are closed under
@@ -294,9 +312,6 @@ class FiniteModule:
         maps are additive, so only the generator tables need the exhaustive
         check in _matrix_table.
         """
-        gens = []
-        if isinstance(action, GeneratedAction):
-            gens = [self._matrix_table(g) for g in action.generators]
         cap = self.caps.max_action_ring
         span = np.zeros((1, self.n), dtype=np.int32)
         keys = {span[0].tobytes()}
@@ -318,7 +333,7 @@ class FiniteModule:
                 cosets.append(coset)
                 multiple = self.add[multiple, w]
             span = np.concatenate(cosets)
-            queue.extend(w[g] for g in gens)
+            queue.extend(w[g] for g in self.gen_tables)
         return span
 
     # -- elements ----------------------------------------------------------
@@ -356,24 +371,24 @@ class FiniteModule:
         idx = self._as_index(m)
         cached = self._ann_mask_cache.get(idx)
         if cached is None:
-            bits = (self.endos[:, idx] == 0).astype(np.uint8)
-            cached = _mask_from_bits(bits)
-            self._ann_mask_cache[idx] = cached
+            cached = self._ann_mask_cache[idx] = _mask_from_bits(self.endos[:, idx] == 0)
         return cached
 
     def annihilator(self, m) -> frozenset[int]:
-        idx = self._as_index(m)
-        return frozenset(int(e) for e in np.nonzero(self.endos[:, idx] == 0)[0])
+        return frozenset(_iter_bits(self.ann_mask(m)))
 
     def ann_class_ids(self) -> np.ndarray:
-        """Array mapping element index -> annihilator-class id."""
+        """Array mapping element index -> annihilator-class id.
+
+        Classes are numbered in the order of their least element: one
+        np.unique over the packed zero columns of the ring's tables.
+        """
         if self._ann_class_cache is None:
-            classes: dict[int, int] = {}
-            out = np.empty(self.n, dtype=np.int32)
-            for x in range(self.n):
-                key = self.ann_mask(x)
-                out[x] = classes.setdefault(key, len(classes))
-            self._ann_class_cache = out
+            columns = np.packbits(self.endos == 0, axis=0).T
+            _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+            rank = np.empty(len(first), dtype=np.int32)
+            rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+            self._ann_class_cache = rank[inverse.reshape(-1)]
         return self._ann_class_cache
 
     # -- submodules --------------------------------------------------------
@@ -381,25 +396,25 @@ class FiniteModule:
     def submodule_from_mask(self, mask: int) -> Submodule:
         return Submodule(self, mask)
 
-    def cyclic_mask(self, index: int) -> int:
-        cached = self._cyclic_mask_cache.get(index)
-        if cached is None:
-            bits = np.zeros(self.n, dtype=bool)
-            bits[self.endos[:, index]] = True
-            cached = _mask_from_bits(bits)
-            self._check_closed(cached, bits)
-            self._cyclic_mask_cache[index] = cached
-        return cached
+    def cyclic_mask(self, m) -> int:
+        """Mask of the cyclic submodule of m, an Element or an index in [0, n)."""
+        return self.cyclic_masks()[self._as_index(m)]
 
     def cyclic_masks(self) -> list[int]:
         """Masks of the cyclic submodules of all n elements, by element index.
 
-        One scatter of the endo tables sets bit e(x) of row x of an n x n bit
-        matrix for every endo e, and one packbits turns the rows into masks.
-        The scatter takes a slice of elements at a time, so that its index
-        array holds at most n x n bytes. Fills the cache of cyclic_mask.
+        Made on first use. One scatter of the endo tables sets bit e(x) of
+        row x of an n x n bit matrix for every endo e, and one packbits turns
+        the rows into masks. The scatter takes a slice of elements at a time,
+        so that its index array holds at most n x n bytes. Each distinct
+        orbit is then checked to be a submodule: closed under + and under
+        the generator tables, which is closure under the ring. It is one
+        already, because the action ring is closed under + and o; the check
+        runs anyway.
         """
-        n, endos = self.n, self.endos
+        if self._cyclics is not None:
+            return self._cyclics
+        n, endos, add = self.n, self.endos, self.add
         bits = np.zeros((n, n), dtype=bool)
         flat = bits.reshape(-1)
         step = max(1, n * n // (8 * self.endo_count))
@@ -408,31 +423,19 @@ class FiniteModule:
             flat[endos[:, lo:hi] + np.arange(lo * n, hi * n, n)] = True
         raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
         nbytes = (n + 7) // 8
-        masks = []
-        for x in range(n):
-            mask = int.from_bytes(raw[x * nbytes : (x + 1) * nbytes], "little")
-            self._check_closed(mask, bits[x])
-            masks.append(mask)
-        self._cyclic_mask_cache.update(enumerate(masks))
+        masks = [int.from_bytes(raw[x * nbytes : (x + 1) * nbytes], "little") for x in range(n)]
+        for x in dict(zip(masks, range(n))).values():  # one element per distinct orbit
+            row = bits[x]
+            orbit = np.flatnonzero(row)
+            if not row[add[orbit[:, None], orbit]].all():
+                raise AssertionError("orbit not closed under +")
+            if not all(row[g[orbit]].all() for g in self.gen_tables):
+                raise AssertionError("orbit not closed under action")
+        self._cyclics = masks
         return masks
 
-    def _check_closed(self, mask: int, bits: np.ndarray) -> None:
-        """Check an endo orbit, given as mask and membership vector, is a submodule.
-
-        It is one already, because the action ring is closed under + and o;
-        the check runs anyway, once per distinct orbit.
-        """
-        if mask in self._closed_orbits:
-            return
-        orbit = np.flatnonzero(bits)
-        if not bits[self.add[orbit[:, None], orbit]].all():
-            raise AssertionError("orbit not closed under +")
-        if not bits[self.endos[:, orbit]].all():
-            raise AssertionError("orbit not closed under action")
-        self._closed_orbits.add(mask)
-
     def cyclic_submodule(self, m) -> Submodule:
-        return Submodule(self, self.cyclic_mask(self._as_index(m)))
+        return Submodule(self, self.cyclic_mask(m))
 
     def join_masks(self, mask_a: int, mask_b: int) -> int:
         """Sum of two submodules, as a mask.
@@ -457,10 +460,14 @@ def build_module(presentation: ModulePresentation, caps: Caps | None = None) -> 
 
 
 def _propagate(module: FiniteModule, gens, images) -> list[int] | None:
-    """Close gen images under sums and endo images; None on conflict.
+    """Close gen images under sums and the generator tables; None on conflict.
 
     The returned table is defined (≠ -1) exactly on the submodule generated
-    by `gens`; entries elsewhere stay -1.
+    by `gens`: closure under + and the generators is closure under the
+    action. Entries elsewhere stay -1. Every pair of defined elements is
+    checked for additivity, so a table returned is additive and commutes
+    with the generators, hence with every sum of their words: it is a
+    module homomorphism, and the only one with these images.
     """
     f = [-1] * module.n
     f[0] = 0
@@ -477,8 +484,7 @@ def _propagate(module: FiniteModule, gens, images) -> list[int] | None:
         if not assign(g, img):
             return None
     add = module.add
-    endos = module.endos
-    r = module.endo_count
+    tables = module.gen_tables
     decided: list[int] = []
     pos = 0
     while pos < len(queue):
@@ -489,55 +495,86 @@ def _propagate(module: FiniteModule, gens, images) -> list[int] | None:
         for y in decided:
             if not assign(int(add[x, y]), int(add[fx, f[y]])):
                 return None
-        for e in range(r):
-            if not assign(int(endos[e, x]), int(endos[e, fx])):
+        for g in tables:
+            if not assign(int(g[x]), int(g[fx])):
                 return None
     return f
 
 
-def _extend_hom(module: FiniteModule, dom: Submodule, gens, images) -> list[int] | None:
-    """Extend gen images to a map total on dom, or None if inconsistent."""
-    f = _propagate(module, gens, images)
-    if f is None or any(f[int(x)] == -1 for x in dom.members):
-        return None
-    return f
+def _maps(dom: Submodule, candidates, injective: bool, budget: int | None):
+    """Yield the table of each homomorphism on dom with gen images from candidates.
+
+    candidates[i] lists the images tried for dom.gens[i]. Backtracking over
+    the generators one at a time: each placement is propagated and pruned
+    on a conflict, or with `injective` on two elements of dom sharing an
+    image, before the next generator is tried. A conflict of some
+    generators' images stays a conflict with more images, so no map is
+    lost. budget caps the placements tried, for the iso search; past it,
+    HomSearchCapExceeded. The search keeps a stack of candidate iterators,
+    one per generator placed: a recursive closure would reach itself through
+    its own cell, a reference cycle that holds the module until a cyclic
+    collection.
+    """
+    module, gens = dom.module, dom.gens
+    if not gens:
+        yield _propagate(module, gens, ())
+        return
+    members = [int(x) for x in dom.members]
+
+    def injective_so_far(f: list[int]) -> bool:
+        images = [f[x] for x in members if f[x] != -1]
+        return len(set(images)) == len(images)
+
+    images: list[int] = []  # the images of gens[:len(tries) - 1]
+    tries = [iter(candidates[0])]
+    nodes = 0
+    while tries:
+        img = next(tries[-1], None)
+        if img is None:
+            tries.pop()
+            if images:
+                images.pop()
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise HomSearchCapExceeded(f"iso search exceeded cap {budget} for |{dom.size}| pair")
+        depth = len(images) + 1
+        f = _propagate(module, gens[:depth], images + [img])
+        if f is None or injective and not injective_so_far(f):
+            continue
+        if depth == len(gens):
+            yield f  # the gens generate dom, so f is total on it
+            continue
+        images.append(img)
+        tries.append(iter(candidates[depth]))
 
 
 def count_homs(dom: Submodule, cod: Submodule) -> int:
-    """Number of additive maps dom -> cod commuting with every action endo.
+    """Number of additive maps dom -> cod commuting with the action.
 
-    Brute force over assignments of images to dom's generating set, each
-    candidate verified by extension.
+    One map search (_maps) with every member of cod a candidate image of
+    each generator of dom; its space cod.size^t is capped up front.
     """
     module = dom.module
     if cod.module is not module:
         raise ValueError("count_homs requires submodules of the same module")
-    gens = dom.gens
-    t = len(gens)
+    t = len(dom.gens)
     total = cod.size**t
     if total > module.caps.max_hom_search:
         raise HomSearchCapExceeded(
             f"hom search space {cod.size}^{t} = {total} exceeds cap {module.caps.max_hom_search}"
         )
     members = [int(x) for x in cod.members]
-    count = 0
-    for images in itertools.product(members, repeat=t):
-        if _extend_hom(module, dom, gens, images) is not None:
-            count += 1
-    return count
+    return sum(1 for _ in _maps(dom, [members] * t, False, None))
 
 
 def is_isomorphic(a: Submodule, b: Submodule) -> bool:
     """True iff there is a bijective module homomorphism a -> b.
 
-    Backtracking over generator images, one generator at a time. Candidate
-    images are restricted to b-elements with the same annihilator as the
-    generator (an isomorphism preserves annihilators exactly), and each
-    partial assignment is propagated and pruned on injectivity before the
-    next generator is tried. The search keeps a stack of candidate
-    iterators, one per generator placed: a recursive closure would reach
-    itself through its own cell, a reference cycle that holds the module
-    until a cyclic collection.
+    One map search (_maps) for an injective map, which onto b of a's size
+    is bijective. Candidate images are restricted to b-elements with the
+    same annihilator as the generator (an isomorphism preserves annihilators
+    exactly), and the search tries at most caps.max_hom_search placements.
     """
     module = a.module
     if b.module is not module:
@@ -550,49 +587,5 @@ def is_isomorphic(a: Submodule, b: Submodule) -> bool:
     if sorted(int(cls[x]) for x in a.members) != sorted(int(cls[x]) for x in b.members):
         # annihilator multisets are isomorphism invariants
         return False
-    gens = a.gens
-    t = len(gens)
-    candidates = [
-        [int(x) for x in b.members if cls[x] == cls[g]] for g in gens
-    ]
-    budget = module.caps.max_hom_search
-    nodes = 0
-    a_members = [int(x) for x in a.members]
-
-    def injective_so_far(f: list[int]) -> bool:
-        seen = set()
-        for x in a_members:
-            v = f[x]
-            if v == -1:
-                continue
-            if v in seen:
-                return False
-            seen.add(v)
-        return True
-
-    images: list[int] = []  # the images of gens[:len(tries) - 1]
-    tries = [iter(candidates[0])]
-    while tries:
-        img = next(tries[-1], None)
-        if img is None:
-            tries.pop()
-            if images:
-                images.pop()
-            continue
-        nodes += 1
-        if nodes > budget:
-            raise HomSearchCapExceeded(
-                f"iso search exceeded cap {budget} for |{a.size}| pair"
-            )
-        depth = len(images) + 1
-        f = _propagate(module, gens[:depth], images + [img])
-        if f is None or not injective_so_far(f):
-            continue
-        if depth == t:
-            # every generator placed: an isomorphism iff the map is total on a
-            if all(f[x] != -1 for x in a_members):
-                return True
-            continue
-        images.append(img)
-        tries.append(iter(candidates[depth]))
-    return False
+    candidates = [[int(x) for x in b.members if cls[x] == cls[g]] for g in a.gens]
+    return next(_maps(a, candidates, True, module.caps.max_hom_search), None) is not None

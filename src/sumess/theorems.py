@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .analysis import ModuleAnalysis
 from .errors import HypothesisNotMet, UnknownTheoremId
 from .graphs import EssGraph, n_partite_witness
-from .lattice import SubmoduleLattice, _iter_bits
+from .lattice import SubmoduleLattice
+from .modules import _iter_bits
 
 
 @dataclass(frozen=True)

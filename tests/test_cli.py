@@ -210,6 +210,18 @@ def test_corpus_extra_spec(tmp_path, capsys):
     assert "z49,49," in out_csv.read_text()
 
 
+def test_corpus_ill_formed_extra_spec(tmp_path, capsys):
+    """A library error in a module of the sweep is exit 2 with its message."""
+    extra = tmp_path / "bad.modspec"
+    extra.write_text("name = bad\nmoduli = 4 2\ngenerator = 1 1; 0 1\n")
+    out_csv = tmp_path / "c.csv"
+    args = ["corpus", "--max-order", "4", "--extra", str(extra), "--out", str(out_csv)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "not additive" in err and "Traceback" not in err
+    assert not out_csv.exists()
+
+
 def test_corpus_duplicate_module_name(tmp_path, capsys):
     extra = tmp_path / "z4.modspec"
     extra.write_text("name = z4\nmoduli = 2 2\n")

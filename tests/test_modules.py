@@ -13,8 +13,10 @@ from sumess import (
     CorpusSpec,
     ElementCapExceeded,
     FiniteModule,
+    HomSearchCapExceeded,
     IllFormedGenerator,
     InvalidModuli,
+    SubmoduleLattice,
     build_module,
     count_homs,
     enumerate_corpus,
@@ -107,6 +109,8 @@ def test_element_index_out_of_range():
             m.decode(bad)
         with pytest.raises(ValueError, match="outside"):
             m.ann_mask(bad)
+        with pytest.raises(ValueError, match="outside"):
+            m.cyclic_mask(bad)
     assert m.cyclic_submodule(7).mask == m.cyclic_mask(7)
     assert m.decode(7) == (3, 1)
 
@@ -264,6 +268,9 @@ def test_ann_classes_partition_elements():
         for y in range(m.n):
             same = m.ann_mask(x) == m.ann_mask(y)
             assert (cls[x] == cls[y]) == same
+    # classes are numbered in the order of their least element
+    first: dict[int, int] = {}
+    assert cls.tolist() == [first.setdefault(m.ann_mask(x), len(first)) for x in range(m.n)]
 
 
 # -- cyclic submodules and spans -------------------------------------------------
@@ -348,6 +355,74 @@ def test_count_homs_annihilator_oracle(z12):
             assert count_homs(a, b) == ok
 
 
+def test_count_homs_from_zero_and_caps():
+    m = _mod(4, 2)
+    zero = m.submodule_from_mask(1)
+    full = m.submodule_from_mask((1 << m.n) - 1)
+    assert count_homs(zero, full) == count_homs(zero, zero) == 1
+    assert count_homs(full, zero) == 1
+    # the space cod.size^t is capped before any map is tried
+    capped = build_module(integer_module("m", 4, 2), caps=Caps(max_hom_search=63))
+    full = capped.submodule_from_mask((1 << capped.n) - 1)
+    with pytest.raises(HomSearchCapExceeded, match=r"hom search space 8\^2 = 64 exceeds cap 63"):
+        count_homs(full, full)
+
+
+def _ring_homs(dom, cod) -> list[tuple[int, ...]]:
+    """Image tables on dom.members of the maps dom -> cod, by brute force on the ring.
+
+    Each member x of dom is written once as e_1(g_1) + ... + e_t(g_t), e_i
+    rows of the action ring and g_i = dom.gens[i]. For each choice of images
+    y_i in cod, the candidate map sends x to e_1(y_1) + ... + e_t(y_t); it is
+    kept when it sends each g_i to y_i, is additive, and commutes with every
+    row of the ring on dom's members. All choices are checked at once, one
+    row each. Neither the generator tables nor the map search is used.
+    """
+    m = dom.module
+    n, add, endos = m.n, m.add, m.endos
+    t = len(dom.gens)
+    zero = int(np.flatnonzero(~endos.any(axis=1))[0])
+    rep = {0: [zero] * t}
+    for i, g in enumerate(dom.gens):
+        for x, r in list(rep.items()):
+            for e, y in enumerate(add[x, endos[:, g]].tolist()):
+                rep.setdefault(y, r[:i] + [e] + r[i + 1 :])
+    choices = list(itertools.product(cod.members.tolist(), repeat=t))
+    ys = np.array(choices, dtype=np.int64).reshape(len(choices), t)
+    members = dom.members
+    f = np.zeros((len(choices), n), dtype=np.int64)
+    for x in members.tolist():
+        for i, e in enumerate(rep[x]):
+            f[:, x] = add[f[:, x], endos[e][ys[:, i]]]
+    ok = (f[:, list(dom.gens)] == ys).all(axis=1)
+    for row in endos:
+        ok &= (f[:, row[members]] == row[f[:, members]]).all(axis=1)
+    f = f[ok]  # the additivity check, the costliest, runs on the rest only
+    ok = np.ones(len(f), dtype=bool)
+    for x in members.tolist():
+        ok &= (f[:, add[x, members]] == add[f[:, [x]], f[:, members]]).all(axis=1)
+    return [tuple(r) for r in f[ok][:, members].tolist()]
+
+
+def test_hom_and_iso_search_match_ring_oracle(ring_presentations):
+    """count_homs and is_isomorphic, which act through the generators, agree
+    with maps checked against the whole action ring, on the generated families."""
+    compared = 0
+    for pres, _ in ring_presentations:
+        lat = SubmoduleLattice(build_module(pres))
+        for a in lat.subs:
+            for b in lat.subs:
+                if b.size ** len(a.gens) > 4096:
+                    continue
+                maps = _ring_homs(a, b)
+                assert count_homs(a, b) == len(maps), (pres.name, a.label, b.label)
+                onto = {int(x) for x in b.members}
+                bijective = a.size == b.size and any(set(t) == onto for t in maps)
+                assert is_isomorphic(a, b) == bijective, (pres.name, a.label, b.label)
+                compared += 1
+    assert compared > 100
+
+
 # -- isomorphism ----------------------------------------------------------------
 
 
@@ -390,3 +465,15 @@ def test_is_isomorphic_equivalence_on_corpus_atoms(corpus_analyses):
             assert ab == ba
             same_size = lat.subs[a].size == lat.subs[b].size
             assert ab == same_size  # simple modules over Z: iso iff same prime
+
+
+def test_is_isomorphic_node_budget():
+    """The iso search tries at most caps.max_hom_search generator images."""
+    planes = []
+    for cap in (1, Caps().max_hom_search):
+        m = build_module(integer_module("m", 2, 2, 2), caps=Caps(max_hom_search=cap))
+        # two planes of F2^3: <(1,0,0),(0,1,0)> and <(0,1,0),(0,0,1)>
+        planes.append([m.submodule_from_mask(sum(1 << x for x in xs)) for xs in ((0, 1, 2, 3), (0, 2, 4, 6))])
+    with pytest.raises(HomSearchCapExceeded, match="iso search exceeded cap 1 for"):
+        is_isomorphic(*planes[0])
+    assert is_isomorphic(*planes[1])
