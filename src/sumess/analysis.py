@@ -17,35 +17,23 @@ from .modules import FiniteModule, ModulePresentation, count_homs, is_isomorphic
 
 
 class ModuleAnalysis:
-    def __init__(self, source: ModulePresentation | FiniteModule, caps: Caps | None = None):
-        if isinstance(source, FiniteModule):
-            self.module = source
-        else:
-            self.module = FiniteModule(source, caps)
-        self._lattice: SubmoduleLattice | None = None
-        self._s: EssGraph | None = None
-        self._n: EssGraph | None = None
+    def __init__(self, presentation: ModulePresentation, caps: Caps | None = None):
+        self.module = FiniteModule(presentation, caps)
         self._iso_cache: dict[tuple[int, int], bool] = {}
         self._hom_cache: dict[tuple[int, int], int] = {}
         self._atom_classes: list[list[int]] | None = None
 
-    @property
+    @cached_property
     def lattice(self) -> SubmoduleLattice:
-        if self._lattice is None:
-            self._lattice = SubmoduleLattice(self.module)
-        return self._lattice
+        return SubmoduleLattice(self.module)
 
-    @property
+    @cached_property
     def s_graph(self) -> EssGraph:
-        if self._s is None:
-            self._s = sum_essential_graph(self.lattice)
-        return self._s
+        return sum_essential_graph(self.lattice)
 
-    @property
+    @cached_property
     def n_graph(self) -> EssGraph:
-        if self._n is None:
-            self._n = proper_sum_essential_graph(self.lattice, self.s_graph)
-        return self._n
+        return proper_sum_essential_graph(self.lattice, self.s_graph)
 
     @property
     def is_simple_module(self) -> bool:
@@ -75,12 +63,18 @@ class ModuleAnalysis:
         return self.lattice.leq(i, self.lattice.socle_id)
 
     def atom_iso_classes(self) -> list[list[int]]:
-        """Atoms grouped by isomorphism, each class in canonical order."""
+        """Atoms grouped by isomorphism, each class in canonical order.
+
+        An atom is compared with the first member of each class of its size
+        only: submodules of different sizes are never isomorphic.
+        """
         if self._atom_classes is None:
+            subs = self.lattice.subs
             classes: list[list[int]] = []
             for a in self.lattice.atoms:
+                size = subs[a].size
                 for cls in classes:
-                    if self.iso(cls[0], a):
+                    if subs[cls[0]].size == size and self.iso(cls[0], a):
                         cls.append(a)
                         break
                 else:
@@ -101,12 +95,11 @@ class ModuleAnalysis:
     def has_isomorphic_twin(self, a: int) -> bool:
         """True iff some other submodule of M is isomorphic to the simple
         submodule subs[a]. A submodule isomorphic to a simple one is simple,
-        so only the atoms are asked; a non-atom raises ValueError."""
-        lat = self.lattice
-        if not lat.atom_mask >> a & 1:
+        so the answer is whether a's class in atom_iso_classes has another
+        member; a non-atom raises ValueError."""
+        if not self.lattice.atom_mask >> a & 1:
             raise ValueError(f"submodule {a} is not simple")
-        size = lat.subs[a].size
-        return any(b != a and lat.subs[b].size == size and self.iso(a, b) for b in lat.atoms)
+        return any(a in cls and len(cls) > 1 for cls in self.atom_iso_classes())
 
     def report_dict(self) -> dict:
         """Full JSON-ready analysis report; field order fixed."""

@@ -3,8 +3,9 @@
 Three subcommands: `analyze` one module spec file, `corpus` for batch runs
 over generated module families, `verify` for a single checker on one module.
 
-Exit codes: 0 success/pass, 1 checker failure, 2 usage or parse error,
-3 resource cap exceeded, 4 checker inapplicable (verify only).
+Exit codes: 0 success/pass, 1 checker failure, 2 usage or parse error (or,
+in a corpus sweep, a library error in some module), 3 resource cap
+exceeded, 4 checker inapplicable (verify only).
 """
 from __future__ import annotations
 
@@ -112,10 +113,15 @@ def cmd_corpus(args) -> int:
     for r in result.rows:
         if r.applicable and not r.passed:
             print(f"FAIL {r.module} {r.theorem_id}: {r.witness}")
+    errors = [r for r in result.rows if r.theorem_id == "error"]
+    for r in errors:
+        print(f"error {r.module}: {r.witness}", file=sys.stderr)
     if result.skipped:
         print("skipped (cap exceeded): " + ", ".join(result.skipped))
     if n_fail:
         return 1
+    if errors:
+        return 2
     if result.skipped:
         return 3
     return 0

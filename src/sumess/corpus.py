@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from .analysis import ModuleAnalysis
-from .errors import CapExceeded, Caps, SpecFileError
+from .errors import CapExceeded, Caps, SpecFileError, SumEssError
 from .graphs import EssGraph
 from .modules import ModulePresentation, generated_module, integer_module
 from .theorems import CORPUS_GATES, run_catalog, selected_ids
@@ -149,8 +149,11 @@ def export_dot(graph: EssGraph, name: str, fh: BinaryIO) -> None:
 def _run_item(args):
     """Rows of one module, and whether a cap stopped it.
 
-    With a dot_dir, the S and N DOT files are written here, each streamed
-    to its file a block of rows at a time, so no DOT text is held whole.
+    A cap overrun gives one "cap-exceeded" row, any other library error
+    (an ill-formed generator, say) one "error" row with its message, so one
+    module cannot end the sweep. With a dot_dir, the S and N DOT files are
+    written here, each streamed to its file a block of rows at a time, so
+    no DOT text is held whole.
     """
     pres, ids, caps, dot_dir = args
     order = 1
@@ -162,6 +165,8 @@ def _run_item(args):
     except CapExceeded as exc:
         row = CorpusRow(pres.name, order, "cap-exceeded", False, True, str(exc))
         return [row], True
+    except SumEssError as exc:
+        return [CorpusRow(pres.name, order, "error", False, False, str(exc))], False
     rows = [
         CorpusRow(pres.name, order, v.theorem_id, v.applicable, v.passed, v.witness or "")
         for v in verdicts

@@ -41,7 +41,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import Caps, LatticeCapExceeded
+from .errors import LatticeCapExceeded
 from .modules import FiniteModule, Submodule, _iter_bits, irredundant_gens
 
 # Work per frontier chunk: B = max(1, _CHUNK_BYTES // n^2) submodules at a
@@ -103,9 +103,8 @@ class JoinIndex:
 
 
 class SubmoduleLattice:
-    def __init__(self, module: FiniteModule, caps: Caps | None = None):
+    def __init__(self, module: FiniteModule):
         self.module = module
-        self.caps = caps or module.caps
         self._index_structure(self._enumerate())
         joins = JoinIndex(self.up, [s.mask for s in self.subs], self.cyclic_ids, self.zero_id)
         for s in self.subs:
@@ -139,7 +138,7 @@ class SubmoduleLattice:
         be recorded twice; _index_structure drops the repeats.
         """
         mod = self.module
-        n, add = mod.n, mod.add
+        n, add, cap = mod.n, mod.add, mod.caps.max_lattice
         per_element = mod.cyclic_masks()
         nbytes = (n + 7) // 8
         mask_bytes = np.dtype(f"S{nbytes}")  # trailing zero bytes dropped on reading
@@ -203,8 +202,8 @@ class SubmoduleLattice:
                 sums.append(np.packbits(rows, axis=1, bitorder="little").tobytes())
             found = np.frombuffer(b"".join(sums), dtype=mask_bytes).tolist()
             new = set(found).difference(index)
-            if len(keys) + len(new) > self.caps.max_lattice:
-                raise LatticeCapExceeded(f"lattice exceeds cap {self.caps.max_lattice}")
+            if len(keys) + len(new) > cap:
+                raise LatticeCapExceeded(f"lattice exceeds cap {cap}")
             for f in new:
                 index[f] = len(keys)
                 keys.append(f)
@@ -439,5 +438,5 @@ class SubmoduleLattice:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_lattice(module: FiniteModule, caps: Caps | None = None) -> SubmoduleLattice:
-    return SubmoduleLattice(module, caps)
+def enumerate_lattice(module: FiniteModule) -> SubmoduleLattice:
+    return SubmoduleLattice(module)

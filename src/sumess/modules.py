@@ -181,9 +181,6 @@ class Submodule:
     def contains(self, index: int) -> bool:
         return bool((self.mask >> index) & 1)
 
-    def leq(self, other: "Submodule") -> bool:
-        return self.mask & other.mask == self.mask
-
     @property
     def is_zero(self) -> bool:
         return self.size == 1
@@ -460,43 +457,41 @@ def build_module(presentation: ModulePresentation, caps: Caps | None = None) -> 
 
 
 def _propagate(module: FiniteModule, gens, images) -> list[int] | None:
-    """Close gen images under sums and the generator tables; None on conflict.
+    """The table of the homomorphism on the submodule D generated by gens
+    that sends them to images; None if there is none.
 
-    The returned table is defined (≠ -1) exactly on the submodule generated
-    by `gens`: closure under + and the generators is closure under the
-    action. Entries elsewhere stay -1. Every pair of defined elements is
-    checked for additivity, so a table returned is additive and commutes
-    with the generators, hence with every sum of their words: it is a
-    module homomorphism, and the only one with these images.
+    The orbit O of gens under the generator tables (gens included) spans D
+    as a group, since the action ring is the additive span of the words in
+    the tables. So f is set on O by f(t(x)) = t(f(x)), then on D, walked
+    from 0, by f(x + o) = f(x) + f(o) for every x in D and o in O, and any
+    conflict rejects. A table that passes is additive, as every element of
+    D is a sum of members of O, and commutes with each t on O, hence on D.
+    It is defined (≠ -1) exactly on D. For the integer action O is gens.
     """
     f = [-1] * module.n
     f[0] = 0
-    queue = [0]
+    walk = [0]  # 0, then O, then the rest of D in the order it is reached
 
     def assign(x: int, v: int) -> bool:
         if f[x] == -1:
             f[x] = v
-            queue.append(x)
+            walk.append(x)
             return True
         return f[x] == v
 
     for g, img in zip(gens, images):
         if not assign(g, img):
             return None
-    add = module.add
-    tables = module.gen_tables
-    decided: list[int] = []
-    pos = 0
-    while pos < len(queue):
-        x = queue[pos]
-        pos += 1
-        decided.append(x)
-        fx = f[x]
-        for y in decided:
-            if not assign(int(add[x, y]), int(add[fx, f[y]])):
+    for x in walk:  # grows to O (every table fixes 0)
+        for t in module.gen_tables:
+            if not assign(t.item(x), t.item(f[x])):
                 return None
-        for g in tables:
-            if not assign(int(g[x]), int(g[fx])):
+    orbit = [(o, f[o]) for o in walk[1:]]
+    add = module.add.item
+    for x in walk:  # grows to D
+        fx = f[x]
+        for o, fo in orbit:
+            if not assign(add(x, o), add(fx, fo)):
                 return None
     return f
 

@@ -1,4 +1,5 @@
 """Command line behavior: output, exit codes, env caps, determinism."""
+import csv
 import json
 import os
 import subprocess
@@ -211,15 +212,23 @@ def test_corpus_extra_spec(tmp_path, capsys):
 
 
 def test_corpus_ill_formed_extra_spec(tmp_path, capsys):
-    """A library error in a module of the sweep is exit 2 with its message."""
+    """A library error in one module of the sweep is one error row with its
+    message: the other modules still run, the CSV is written, and the exit
+    code is 2."""
     extra = tmp_path / "bad.modspec"
     extra.write_text("name = bad\nmoduli = 4 2\ngenerator = 1 1; 0 1\n")
     out_csv = tmp_path / "c.csv"
     args = ["corpus", "--max-order", "4", "--extra", str(extra), "--out", str(out_csv)]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert "not additive" in err and "Traceback" not in err
-    assert not out_csv.exists()
+    assert "error bad: " in err and "not additive" in err and "Traceback" not in err
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["module"] for r in rows} == {"z4", "z2z2", "bad"}
+    assert all(r["theorem_id"] != "error" for r in rows if r["module"] != "bad")
+    (bad,) = [r for r in rows if r["module"] == "bad"]
+    assert (bad["order"], bad["theorem_id"], bad["applicable"], bad["pass"]) == ("8", "error", "false", "false")
+    assert "not additive" in bad["witness"]
 
 
 def test_corpus_duplicate_module_name(tmp_path, capsys):

@@ -30,7 +30,7 @@ from sumess.theorems import REGISTRY, _disjoints_inside_socle, _meets_imply_socl
 
 
 def _lat(*moduli, caps=None) -> SubmoduleLattice:
-    return enumerate_lattice(build_module(integer_module("m", *moduli), caps=caps), caps=caps)
+    return enumerate_lattice(build_module(integer_module("m", *moduli), caps=caps))
 
 
 def _divisors(n):

@@ -406,9 +406,17 @@ def _ring_homs(dom, cod) -> list[tuple[int, ...]]:
 
 def test_hom_and_iso_search_match_ring_oracle(ring_presentations):
     """count_homs and is_isomorphic, which act through the generators, agree
-    with maps checked against the whole action ring, on the generated families."""
+    with maps checked against the whole action ring, on the generated families
+    and on integer modules with several generators per submodule."""
+    integer = [
+        integer_module("z8z2", 8, 2),
+        integer_module("z4z4", 4, 4),
+        integer_module("z4z2z2", 4, 2, 2),
+        integer_module("z3z3", 3, 3),
+        integer_module("z9z3", 9, 3),
+    ]
     compared = 0
-    for pres, _ in ring_presentations:
+    for pres in [pres for pres, _ in ring_presentations] + integer:
         lat = SubmoduleLattice(build_module(pres))
         for a in lat.subs:
             for b in lat.subs:
