@@ -36,9 +36,7 @@ def _print_graph_report(az: ModuleAnalysis, kind: str) -> None:
         print(f"  regular of degree {rep.k_regular}")
     if rep.star_center is not None:
         print(f"  star with center {az.lattice.subs[rep.star_center].label}")
-    degs = ", ".join(
-        f"{az.lattice.subs[v].label}:{g.degree(v)}" for v in g.vertex_ids
-    )
+    degs = ", ".join(f"{az.lattice.subs[v].label}:{d}" for v, d in rep.degrees.items())
     print(f"  degrees: {degs}")
 
 
@@ -103,22 +101,23 @@ def cmd_corpus(args) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     write_csv(result.rows, args.out)
-    n_fail = sum(1 for r in result.rows if r.applicable and not r.passed)
-    n_app = sum(1 for r in result.rows if r.applicable)
-    modules = len({r.module for r in result.rows})
+    # the checker rows: error and cap-exceeded rows are reported on their own
+    verdicts = [r for r in result.rows if r.theorem_id not in ("error", "cap-exceeded")]
+    failed = [r for r in verdicts if r.applicable and not r.passed]
+    n_app = sum(1 for r in verdicts if r.applicable)
+    modules = len({r.module for r in verdicts})
     print(
-        f"{modules} modules, {len(result.rows)} verdicts "
-        f"({n_app} applicable, {n_fail} failed), csv: {args.out}"
+        f"{modules} modules, {len(verdicts)} verdicts "
+        f"({n_app} applicable, {len(failed)} failed), csv: {args.out}"
     )
-    for r in result.rows:
-        if r.applicable and not r.passed:
-            print(f"FAIL {r.module} {r.theorem_id}: {r.witness}")
+    for r in failed:
+        print(f"FAIL {r.module} {r.theorem_id}: {r.witness}")
     errors = [r for r in result.rows if r.theorem_id == "error"]
     for r in errors:
         print(f"error {r.module}: {r.witness}", file=sys.stderr)
     if result.skipped:
         print("skipped (cap exceeded): " + ", ".join(result.skipped))
-    if n_fail:
+    if failed:
         return 1
     if errors:
         return 2

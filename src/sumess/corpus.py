@@ -42,7 +42,11 @@ class CorpusRow:
 @dataclass
 class CorpusResult:
     rows: list[CorpusRow] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
+
+    @property
+    def skipped(self) -> list[str]:
+        """The modules a cap stopped, in sweep order."""
+        return [r.module for r in self.rows if r.theorem_id == "cap-exceeded"]
 
     @property
     def any_failed(self) -> bool:
@@ -147,7 +151,7 @@ def export_dot(graph: EssGraph, name: str, fh: BinaryIO) -> None:
 
 
 def _run_item(args):
-    """Rows of one module, and whether a cap stopped it.
+    """Rows of one module.
 
     A cap overrun gives one "cap-exceeded" row, any other library error
     (an ill-formed generator, say) one "error" row with its message, so one
@@ -163,10 +167,9 @@ def _run_item(args):
         az = ModuleAnalysis(pres, caps=caps)
         verdicts = run_catalog(az, ids)
     except CapExceeded as exc:
-        row = CorpusRow(pres.name, order, "cap-exceeded", False, True, str(exc))
-        return [row], True
+        return [CorpusRow(pres.name, order, "cap-exceeded", False, True, str(exc))]
     except SumEssError as exc:
-        return [CorpusRow(pres.name, order, "error", False, False, str(exc))], False
+        return [CorpusRow(pres.name, order, "error", False, False, str(exc))]
     rows = [
         CorpusRow(pres.name, order, v.theorem_id, v.applicable, v.passed, v.witness or "")
         for v in verdicts
@@ -176,7 +179,7 @@ def _run_item(args):
             name = f"{pres.name}_{kind}"
             with open(os.path.join(dot_dir, f"{name}.dot"), "wb") as fh:
                 export_dot(graph, name, fh)
-    return rows, False
+    return rows
 
 
 def run_corpus(
@@ -194,12 +197,10 @@ def run_corpus(
     # unknown ids raise here, before any module runs
     ids = selected_ids(cspec.theorem_ids)
     ids += tuple(gate for gate in CORPUS_GATES if gate not in ids)
-    items = enumerate_corpus(cspec)
-    tasks = [(pres, ids, caps, dot_dir) for pres in items]
+    tasks = [(pres, ids, caps, dot_dir) for pres in enumerate_corpus(cspec)]
     if dot_dir is not None:
         os.makedirs(dot_dir, exist_ok=True)
 
-    result = CorpusResult()
     if jobs <= 1:
         outcomes = map(_run_item, tasks)
     else:
@@ -208,11 +209,7 @@ def run_corpus(
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_item, tasks))
-    for pres, (rows, capped) in zip(items, outcomes):
-        result.rows.extend(rows)
-        if capped:
-            result.skipped.append(pres.name)
-    return result
+    return CorpusResult([row for rows in outcomes for row in rows])
 
 
 def write_csv(rows: list[CorpusRow], path: str) -> None:

@@ -17,6 +17,10 @@ the largest eccentricity of an atom: ball walks start from the atoms only.
 N(M) is the subgraph of S(M) induced on the non-essential vertices, so the
 rows of N(M) are always the rows of S(M) masked to the N vertices.
 
+Each row is counted once, when the graph is built, into the list deg over
+lattice ids; every degree reader (degrees, edge count, regularity, universal
+vertices, the report) reads that list.
+
 DOT is written to a binary handle a block of rows at a time, at most
 _CHUNK_BYTES unpacked bytes of adjacency per block (write_dot), so it holds
 one block, not the text; export_dot returns the same bytes as a string.
@@ -26,7 +30,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Iterable, Iterator
 
@@ -73,6 +78,8 @@ class EssGraph:
         else:
             for lid in self.vertex_ids:
                 self.rows[lid] = s_graph.rows[lid] & bits
+        self.deg = list(map(int.bit_count, self.rows))
+        self._components: int | None = None
         self._diameter: float | None = None
         self._girth: float | None = None
 
@@ -82,10 +89,10 @@ class EssGraph:
         return bool(self.vertex_bits >> lid & 1)
 
     def degree(self, lid: int) -> int:
-        return self.rows[lid].bit_count()
+        return self.deg[lid]
 
     def degrees(self) -> dict[int, int]:
-        return {lid: self.rows[lid].bit_count() for lid in self.vertex_ids}
+        return {lid: self.deg[lid] for lid in self.vertex_ids}
 
     def neighbors(self, lid: int) -> list[int]:
         return list(_iter_bits(self.rows[lid]))
@@ -94,7 +101,7 @@ class EssGraph:
         return bool(self.rows[a] >> b & 1)
 
     def n_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(self.deg) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for a in self.vertex_ids:
@@ -122,6 +129,8 @@ class EssGraph:
             ball = grown
 
     def component_count(self) -> int:
+        if self._components is not None:
+            return self._components
         seen = 0
         parts = 0
         for lid in self.vertex_ids:
@@ -131,12 +140,11 @@ class EssGraph:
             for ball in self._balls(lid):
                 pass
             seen |= ball
+        self._components = parts
         return parts
 
     def is_connected(self) -> bool:
-        if self.n_vertices <= 1:
-            return True
-        return self.component_count() == 1
+        return self.component_count() <= 1
 
     def diameter(self) -> float:
         """Max eccentricity; inf when disconnected, 0 below two vertices.
@@ -231,15 +239,11 @@ class EssGraph:
         """The common degree if the graph is regular, else None."""
         if not self.n_vertices:
             return 0
-        degs = {self.rows[lid].bit_count() for lid in self.vertex_ids}
+        degs = {self.deg[lid] for lid in self.vertex_ids}
         return degs.pop() if len(degs) == 1 else None
 
     def is_tree(self) -> bool:
-        return (
-            self.n_vertices >= 1
-            and self.is_connected()
-            and self.n_edges() == self.n_vertices - 1
-        )
+        return self.component_count() == 1 and self.n_edges() == self.n_vertices - 1
 
     def is_star(self) -> bool:
         """A tree with a center adjacent to everything else; K1 and K2 count."""
@@ -254,11 +258,7 @@ class EssGraph:
         return centers[0] if centers else None
 
     def universal_vertices(self) -> list[int]:
-        return [
-            lid
-            for lid in self.vertex_ids
-            if self.rows[lid].bit_count() == self.n_vertices - 1
-        ]
+        return [lid for lid in self.vertex_ids if self.deg[lid] == self.n_vertices - 1]
 
     def is_clique(self, lids: Iterable[int]) -> bool:
         lids = list(lids)
@@ -298,17 +298,14 @@ class EssGraph:
 
     def report(self) -> "GraphReport":
         degs = self.degrees()
-        hist: dict[int, int] = {}
-        for d in degs.values():
-            hist[d] = hist.get(d, 0) + 1
         return GraphReport(
             kind=self.kind,
             vertex_count=self.n_vertices,
             edge_count=self.n_edges(),
             degrees=degs,
-            degree_histogram=dict(sorted(hist.items())),
-            min_degree=min(degs.values()) if degs else 0,
-            max_degree=max(degs.values()) if degs else 0,
+            degree_histogram=dict(sorted(Counter(degs.values()).items())),
+            min_degree=min(degs.values(), default=0),
+            max_degree=max(degs.values(), default=0),
             n_components=self.component_count(),
             is_connected=self.is_connected(),
             diameter=self.diameter(),
@@ -399,32 +396,19 @@ class GraphReport:
     universal_vertices: tuple[int, ...]
 
     def as_dict(self) -> dict:
-        """JSON-ready dict; field order is fixed, inf encodes as \"inf\"."""
-
-        def enc(v):
-            if isinstance(v, float) and math.isinf(v):
-                return "inf"
-            return v
-
-        return {
-            "kind": self.kind,
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "degrees": {str(k): v for k, v in sorted(self.degrees.items())},
-            "degree_histogram": {str(k): v for k, v in self.degree_histogram.items()},
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "n_components": self.n_components,
-            "is_connected": self.is_connected,
-            "diameter": enc(self.diameter),
-            "girth": enc(self.girth),
-            "is_complete": self.is_complete,
-            "k_regular": self.k_regular,
-            "triangle_free": self.triangle_free,
-            "is_tree": self.is_tree,
-            "star_center": self.star_center,
-            "universal_vertices": list(self.universal_vertices),
-        }
+        """JSON-ready dict in field order: dict keys as strings in ascending
+        order, tuples as lists, inf as \"inf\"."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, dict):
+                v = {str(k): x for k, x in sorted(v.items())}
+            elif isinstance(v, tuple):
+                v = list(v)
+            elif isinstance(v, float) and math.isinf(v):
+                v = "inf"
+            out[f.name] = v
+        return out
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,7 @@ def _is_atom(lat: SubmoduleLattice, i: int) -> bool:
 
 
 def _degree_one(g: EssGraph) -> list[int]:
-    return [v for v in g.vertex_ids if g.degree(v) == 1]
+    return [v for v in g.vertex_ids if g.deg[v] == 1]
 
 
 def _short_chain(az: ModuleAnalysis) -> bool:

@@ -168,7 +168,9 @@ def test_corpus_cap_exit(tmp_path, capsys, monkeypatch):
     code = main(["corpus", "--max-order", "9", "--out", str(tmp_path / "c.csv")])
     assert code == 3
     out = capsys.readouterr().out
-    assert "skipped (cap exceeded)" in out
+    # the summary counts checker rows only, not the cap rows of z9 and z3z3
+    assert out.startswith("6 modules, 72 verdicts (58 applicable, 0 failed), csv: ")
+    assert "skipped (cap exceeded): z9, z3z3\n" in out
     text = (tmp_path / "c.csv").read_text()
     assert "cap-exceeded" in text
 
@@ -220,7 +222,9 @@ def test_corpus_ill_formed_extra_spec(tmp_path, capsys):
     out_csv = tmp_path / "c.csv"
     args = ["corpus", "--max-order", "4", "--extra", str(extra), "--out", str(out_csv)]
     assert main(args) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    # the summary counts checker rows only, not bad's error row
+    assert out.startswith("2 modules, 24 verdicts (17 applicable, 0 failed), csv: ")
     assert "error bad: " in err and "not additive" in err and "Traceback" not in err
     with open(out_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from dataclasses import fields
 
 import networkx as nx
 import pytest
@@ -30,6 +31,40 @@ def _nx_graph(g):
     G.add_nodes_from(g.vertex_ids)
     G.add_edges_from(g.edges())
     return G
+
+
+def _check_degree_invariants(g, G, name):
+    """The degree readers against networkx, and every report field against
+    the method it reports."""
+    n = G.number_of_nodes()
+    degrees = dict(G.degree())
+    assert g.degrees() == degrees, name
+    assert g.n_edges() == G.number_of_edges(), name
+    assert g.universal_vertices() == sorted(v for v, d in degrees.items() if d == n - 1), name
+    assert g.k_regular() == (next(iter(degrees.values())) if nx.is_regular(G) else None), name
+    assert g.is_complete() == (G.number_of_edges() == n * (n - 1) // 2), name
+    assert g.is_tree() == nx.is_tree(G), name
+    rep = g.report()
+    assert list(rep.degree_histogram) == sorted(rep.degree_histogram), name
+    assert {f.name: getattr(rep, f.name) for f in fields(rep)} == {
+        "kind": g.kind,
+        "vertex_count": g.n_vertices,
+        "edge_count": g.n_edges(),
+        "degrees": g.degrees(),
+        "degree_histogram": {d: c for d, c in enumerate(nx.degree_histogram(G)) if c},
+        "min_degree": min(degrees.values()),
+        "max_degree": max(degrees.values()),
+        "n_components": g.component_count(),
+        "is_connected": g.is_connected(),
+        "diameter": g.diameter(),
+        "girth": g.girth(),
+        "is_complete": g.is_complete(),
+        "k_regular": g.k_regular(),
+        "triangle_free": g.triangle_free(),
+        "is_tree": g.is_tree(),
+        "star_center": g.star_center(),
+        "universal_vertices": tuple(g.universal_vertices()),
+    }, name
 
 
 def _label_degrees(az, g):
@@ -150,7 +185,7 @@ def test_invariants_match_networkx(corpus_analyses):
             if g.n_vertices == 0:
                 continue
             G = _nx_graph(g)
-            assert g.n_edges() == G.number_of_edges(), name
+            _check_degree_invariants(g, G, name)
             assert g.is_connected() == nx.is_connected(G), name
             assert g.component_count() == nx.number_connected_components(G), name
             if g.is_connected() and g.n_vertices > 1:
@@ -184,6 +219,7 @@ def test_traversals_match_networkx_past_corpus(ring_presentations):
             assert g.component_count() == nx.number_connected_components(G), pres.name
             assert g.diameter() == (nx.diameter(G) if connected else INF), pres.name
             assert g.girth() == nx.girth(G), pres.name
+            _check_degree_invariants(g, G, pres.name)
 
 
 def test_adjacency_is_essential_sum(corpus_analyses):

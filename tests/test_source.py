@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 import ast
-import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sumess
@@ -21,70 +24,45 @@ def test_no_assert_statements():
     assert not found, found
 
 
-# The names the per-layer tracer of the benchmark (bench/tracing.py, `install`)
-# wraps by attribute lookup. A rename here would break `bench/run.py --trace 1`
-# without failing any other test, so the list is kept in step with that file.
-TRACED = {
-    "modules": ["FiniteModule.__init__", "FiniteModule.join_masks", "FiniteModule.cyclic_mask"],
-    "analysis": ["is_isomorphic", "count_homs", "ModuleAnalysis.iso"],
-    "lattice": [
-        "SubmoduleLattice.__init__",
-        "SubmoduleLattice.complements_within",
-        "SubmoduleLattice.strongly_disjoint",
-    ],
-    "graphs": [
-        "EssGraph.__init__",
-        "EssGraph.diameter",
-        "EssGraph.girth",
-        "EssGraph.triangle",
-        "EssGraph.component_count",
-        "EssGraph.complement_components",
-        "EssGraph.is_clique",
-        "EssGraph.k_regular",
-    ],
-    "corpus": ["export_dot", "run_corpus", "write_csv"],
-    "specfile": ["load_spec"],
-}
-TRACED_THEOREM_IDS = (
-    "prop-semisimple",
-    "ex-1.2",
-    "deg1-S",
-    "thm-2.13",
-    "deg1-interactions",
-    "complete",
-    "trianglefree",
-    "npartite",
-    "finiteness",
-    "thm-1.5",
-    "thm-girth-S",
-    "thm-girth-N",
-)
+# The benchmark's per-layer tracer wraps package names by attribute lookup
+# and its hooks read attributes of what they wrap, so a rename would break
+# `bench/run.py --trace 1` without failing any other test.
+TRACED_SWEEP = """
+import json, sumess, tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8))
+metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
+print(json.dumps({"rows": len(result.rows), "metrics": metrics}))
+"""
 
 
-def test_traced_names_exist():
-    missing = []
-    for layer, paths in TRACED.items():
-        module = importlib.import_module(f"sumess.{layer}")
-        for path in paths:
-            owner = module
-            for part in path.split("."):
-                owner = getattr(owner, part, None)
-            if not callable(owner):
-                missing.append(f"{layer}.{path}")
-    assert not missing, missing
-    # Submodule.label is replaced by a property around its getter
-    assert isinstance(sumess.Submodule.label, property)
-    assert set(TRACED_THEOREM_IDS) <= set(sumess.theorems.REGISTRY)
-
-
-def test_traced_hooks_read_existing_attributes():
-    """The attributes the tracer's hooks read after a wrapped call returns."""
-    az = sumess.ModuleAnalysis(sumess.integer_module("z4z2", 4, 2))
-    assert az.module.presentation.name == "z4z2" and az.module.endo_count == 4
-    assert az.lattice.count == 8
-    assert az.s_graph.n_vertices == len(az.s_graph.rows) - 2
-    result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=2))
-    assert result.rows
+def test_bench_tracer_runs_on_package():
+    """bench/tracing.py installed on the package, one traced sweep, and its
+    per-layer metrics, in a child process (install patches the package)."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(sumess.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, str(root / "bench"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SWEEP],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    metrics = out["metrics"]
+    assert out["rows"] and metrics["corpus.rows"] == out["rows"]
+    for name in (
+        "modules.action_ring_elems",
+        "lattice.submodules",
+        "graphs.vertices",
+        "graphs.edges",
+        "graphs.invariant_calls",
+        "modules.gens_s",
+    ):
+        assert metrics[name] > 0, name
 
 
 def test_corpus_dot_text_made_by_export_dot(monkeypatch, tmp_path):
