@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -22,6 +23,72 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+# The names the per-layer tracer of the benchmark (bench/tracing.py, `install`)
+# wraps by attribute lookup. A rename here would break `bench/run.py --trace 1`
+# without failing any other test, so the list is kept in step with that file.
+TRACED = {
+    "modules": ["FiniteModule.__init__", "FiniteModule.join_masks", "FiniteModule.cyclic_mask"],
+    "analysis": ["is_isomorphic", "count_homs", "ModuleAnalysis.iso"],
+    "lattice": [
+        "SubmoduleLattice.__init__",
+        "SubmoduleLattice.complements_within",
+        "SubmoduleLattice.strongly_disjoint",
+    ],
+    "graphs": [
+        "EssGraph.__init__",
+        "EssGraph.diameter",
+        "EssGraph.girth",
+        "EssGraph.triangle",
+        "EssGraph.component_count",
+        "EssGraph.complement_components",
+        "EssGraph.is_clique",
+        "EssGraph.k_regular",
+    ],
+    "corpus": ["export_dot", "run_corpus", "write_csv"],
+    "specfile": ["load_spec"],
+}
+TRACED_THEOREM_IDS = (
+    "prop-semisimple",
+    "ex-1.2",
+    "deg1-S",
+    "thm-2.13",
+    "deg1-interactions",
+    "complete",
+    "trianglefree",
+    "npartite",
+    "finiteness",
+    "thm-1.5",
+    "thm-girth-S",
+    "thm-girth-N",
+)
+
+
+def test_traced_names_exist():
+    missing = []
+    for layer, paths in TRACED.items():
+        module = importlib.import_module(f"sumess.{layer}")
+        for path in paths:
+            owner = module
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{layer}.{path}")
+    assert not missing, missing
+    # Submodule.label is replaced by a property around its getter
+    assert isinstance(sumess.Submodule.label, property)
+    assert set(TRACED_THEOREM_IDS) <= set(sumess.theorems.REGISTRY)
+
+
+def test_traced_hooks_read_existing_attributes():
+    """The attributes the tracer's hooks read after a wrapped call returns."""
+    az = sumess.ModuleAnalysis(sumess.integer_module("z4z2", 4, 2))
+    assert az.module.presentation.name == "z4z2" and az.module.endo_count == 4
+    assert az.lattice.count == 8
+    assert az.s_graph.n_vertices == len(az.s_graph.rows) - 2
+    result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=2))
+    assert result.rows
 
 
 # The benchmark's per-layer tracer wraps package names by attribute lookup
