@@ -15,7 +15,8 @@ vertices alone, and eccentricity falls as a vertex grows, so the diameter is
 the largest eccentricity of an atom: ball walks start from the atoms only.
 
 N(M) is the subgraph of S(M) induced on the non-essential vertices, so the
-rows of N(M) are always the rows of S(M) masked to the N vertices.
+rows of N(M) are always the rows of S(M) masked to the N vertices; when
+V(N) = V(S) (M semisimple) N(M) shares S(M)'s row and degree lists.
 
 Each row is counted once, when the graph is built, into the list deg over
 lattice ids; every degree reader (degrees, edge count, regularity, universal
@@ -54,7 +55,9 @@ class EssGraph:
 
         N(M) is the subgraph of S(M) induced on the non-essential vertices,
         so its rows are the rows of s_graph, the S(M) of the same lattice,
-        masked to the N vertices; kind "n" needs s_graph.
+        masked to the N vertices; kind "n" needs s_graph. When the two
+        vertex sets are equal, which holds exactly for a semisimple module,
+        N(M) holds S(M)'s own rows and deg lists.
         """
         if kind not in ("s", "n"):
             raise ValueError("kind must be 's' or 'n'")
@@ -69,19 +72,26 @@ class EssGraph:
         # the coatoms in S, the maximal non-essential submodules in N
         self._top_bits = sum(1 << top for top in lattice.maximal(bits))
 
-        self.rows = [0] * lattice.count
-        if kind == "s":
-            for lid in self.vertex_ids:
-                self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
-        elif s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s":
-            raise ValueError("s_graph must be the S graph of the same lattice")
-        else:
-            for lid in self.vertex_ids:
-                self.rows[lid] = s_graph.rows[lid] & bits
-        self.deg = list(map(int.bit_count, self.rows))
         self._components: int | None = None
         self._diameter: float | None = None
         self._girth: float | None = None
+
+        if kind == "s":
+            rows = [0] * lattice.count
+            for lid in self.vertex_ids:
+                rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
+        elif s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s":
+            raise ValueError("s_graph must be the S graph of the same lattice")
+        elif bits == s_graph.vertex_bits:
+            # no essential vertex: N(M) is S(M)
+            self.rows, self.deg = s_graph.rows, s_graph.deg
+            return
+        else:
+            rows = [0] * lattice.count
+            for lid in self.vertex_ids:
+                rows[lid] = s_graph.rows[lid] & bits
+        self.rows = rows
+        self.deg = list(map(int.bit_count, rows))
 
     # -- basics ---------------------------------------------------------------
 

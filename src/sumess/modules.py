@@ -111,11 +111,13 @@ def irredundant_gens(mask: int, zero, step, mask_of) -> tuple[int, ...]:
     """Irredundant generating set of the submodule with this mask.
 
     Greedy over ascending element index: the next generator is the lowest
-    member outside the span of the ones before it. Then, while the others
-    span the whole submodule without some generator, the first such
-    generator is dropped. The caller picks how a span is held: `zero` is
-    the span of nothing, step(span, x) joins the cyclic submodule of x into
-    it, and mask_of(span) gives its members.
+    member outside the span of the ones before it. Then one pass drops each
+    generator the others kept still span the submodule without: a drop only
+    shrinks the others' span, so a kept generator stays needed, and the
+    last one, outside the span of those before it, is never tried. The
+    caller picks how a span is held: `zero` is the span of nothing,
+    step(span, x) joins the cyclic submodule of x into it, and mask_of(span)
+    gives its members.
     """
     gens: list[int] = []
     span = zero
@@ -125,15 +127,10 @@ def irredundant_gens(mask: int, zero, step, mask_of) -> tuple[int, ...]:
         gens.append(x)
         span = step(span, x)
         missing = mask & ~mask_of(span)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for g in gens:
-            rest = [h for h in gens if h != g]
-            if mask_of(functools.reduce(step, rest, zero)) == mask:
-                gens = rest
-                changed = True
-                break
+    for g in gens[:-1]:
+        rest = [h for h in gens if h != g]
+        if mask_of(functools.reduce(step, rest, zero)) == mask:
+            gens = rest
     return tuple(gens)
 
 
@@ -262,8 +259,7 @@ class FiniteModule:
 
         self._element_texts: dict[int, str] = {}
         self._cyclics = None
-        self._ann_mask_cache: dict[int, int] = {}
-        self._ann_class_cache = None
+        self._ann = None
 
     @property
     def endo_count(self) -> int:
@@ -300,36 +296,36 @@ class FiniteModule:
         That subring is the additive span of the words in the generator
         tables (the empty word is the identity): words are closed under
         composition, and composition is additive in both arguments. The span
-        S starts at {0}; each word w not yet in S grows it coset by coset,
-        S, S + w, S + 2w, ..., until the next multiple of w lies in S, and
-        then queues w o g for each generator g. So S ends closed under right
-        composition by the generators, and contains every word. With no
-        generators (the integer action) the rows are the scalars
-        0, 1, ..., exponent - 1 in order. Sums and composites of additive
-        maps are additive, so only the generator tables need the exhaustive
-        check in _matrix_table.
+        S starts at {0}; each word w not yet in S grows it by the cosets
+        S + w, ..., S + kw, (k + 1)w the first multiple of w in S, made by
+        one gather, and then queues w o g for each generator g. So S ends
+        closed under right composition by the generators, and contains every
+        word. With no generators (the integer action) the rows are the
+        scalars 0, 1, ..., exponent - 1 in order. Sums and composites of
+        additive maps are additive, so only the generator tables need the
+        exhaustive check in _matrix_table.
         """
-        cap = self.caps.max_action_ring
-        span = np.zeros((1, self.n), dtype=np.int32)
-        keys = {span[0].tobytes()}
-        queue = [np.arange(self.n, dtype=np.int32)]
+        cap, n, add = self.caps.max_action_ring, self.n, self.add
+        key = f"S{4 * n}"  # a table as one fixed-width string
+        span = np.zeros((1, n), dtype=np.int32)
+        keys = {span.view(key).item()}
+        queue = [np.arange(n, dtype=np.int32)]
         while queue:
             w = queue.pop()
-            if w.tobytes() in keys:
+            if w.view(key).item() in keys:
                 continue
-            cosets = [span]
-            multiple = w
-            while multiple.tobytes() not in keys:
-                size = len(keys) + span.shape[0]
-                if size > cap:
-                    raise ActionRingCapExceeded(
-                        f"action ring has at least {size} endomorphisms, cap is {cap}"
-                    )
-                coset = self.add[span, multiple]
-                keys.update(row.tobytes() for row in coset)
-                cosets.append(coset)
-                multiple = self.add[multiple, w]
-            span = np.concatenate(cosets)
+            multiples = [w]
+            while (m := add[multiples[-1], w]).view(key).item() not in keys:
+                multiples.append(m)
+            s = span.shape[0]
+            if s * (len(multiples) + 1) > cap:
+                # the size a coset-by-coset build reaches at its first overrun
+                raise ActionRingCapExceeded(
+                    f"action ring has at least {s * (max(cap // s, 1) + 1)} endomorphisms, cap is {cap}"
+                )
+            cosets = add[span[None], np.array(multiples)[:, None]].reshape(-1, n)
+            keys.update(cosets.view(key).ravel().tolist())
+            span = np.concatenate([span, cosets])
             queue.extend(w[g] for g in self.gen_tables)
         return span
 
@@ -365,11 +361,8 @@ class FiniteModule:
 
     def ann_mask(self, m) -> int:
         """Bitmask over endo ids e with e(m) = 0."""
-        idx = self._as_index(m)
-        cached = self._ann_mask_cache.get(idx)
-        if cached is None:
-            cached = self._ann_mask_cache[idx] = _mask_from_bits(self.endos[:, idx] == 0)
-        return cached
+        ids = self.ann_class_ids()
+        return self._ann[1][ids[self._as_index(m)]]
 
     def annihilator(self, m) -> frozenset[int]:
         return frozenset(_iter_bits(self.ann_mask(m)))
@@ -377,16 +370,19 @@ class FiniteModule:
     def ann_class_ids(self) -> np.ndarray:
         """Array mapping element index -> annihilator-class id.
 
-        Classes are numbered in the order of their least element: one
-        np.unique over the packed zero columns of the ring's tables.
+        Made on first use, with the mask of each class, by one packbits of
+        the ring's zero tests: column x has the bits, over endo ids, of the
+        endos killing x. The distinct columns are numbered in first-seen
+        order, which is the order of their least element.
         """
-        if self._ann_class_cache is None:
-            columns = np.packbits(self.endos == 0, axis=0).T
-            _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
-            rank = np.empty(len(first), dtype=np.int32)
-            rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-            self._ann_class_cache = rank[inverse.reshape(-1)]
-        return self._ann_class_cache
+        if self._ann is None:
+            packed = np.packbits(self.endos == 0, axis=0, bitorder="little")
+            # fixed-width strings: the trailing zero bytes they drop change no value
+            columns = np.ascontiguousarray(packed.T).view(f"S{packed.shape[0]}").ravel().tolist()
+            classes: dict[bytes, int] = {}
+            ids = np.array([classes.setdefault(c, len(classes)) for c in columns], dtype=np.int32)
+            self._ann = ids, [int.from_bytes(c, "little") for c in classes]
+        return self._ann[0]
 
     # -- submodules --------------------------------------------------------
 

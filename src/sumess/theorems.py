@@ -489,7 +489,14 @@ def _universal_simple(az: ModuleAnalysis) -> TheoremVerdict:
 
 
 def check_semisimple_equalities(az: ModuleAnalysis) -> TheoremVerdict:
-    """Semisimplicity <=> S(M) equals N(M) <=> some vertex has equal degrees."""
+    """Semisimplicity <=> S(M) equals N(M) <=> some vertex has equal degrees.
+
+    N(M) shares S(M)'s rows and degree lists exactly when V(N) = V(S), so
+    with that shared storage both graph sides hold by identity exactly
+    then. Their non-trivial direction, that a module with V(N) != V(S)
+    has unequal graphs and no vertex of equal degrees, is still decided on
+    distinct rows in every non-semisimple module.
+    """
     tid = "prop-semisimple"
     if az.is_simple_module:
         return _inapplicable(tid, "module is simple, no vertices")

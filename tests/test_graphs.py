@@ -179,6 +179,26 @@ def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentatio
         proper_sum_essential_graph(az.lattice, az.n_graph)
 
 
+def test_n_shares_s_rows_exactly_when_semisimple(corpus_analyses):
+    """N(M) holds S(M)'s own row and degree lists when V(N) = V(S), which is
+    exactly when M is semisimple; otherwise its rows are S's rows masked to
+    the N vertices, in lists of its own."""
+    kinds = set()
+    for name, az in corpus_analyses.items():
+        lat, s, n = az.lattice, az.s_graph, az.n_graph
+        semisimple = lat.is_semisimple()
+        kinds.add(semisimple)
+        assert (n.vertex_bits == s.vertex_bits) == semisimple, name
+        if semisimple:
+            assert n.rows is s.rows and n.deg is s.deg, name
+            continue
+        assert n.rows is not s.rows and n.deg is not s.deg, name
+        want = [s.rows[v] & n.vertex_bits if n.has_vertex(v) else 0 for v in range(lat.count)]
+        assert n.rows == want, name
+        assert n.deg == [row.bit_count() for row in want], name
+    assert kinds == {True, False}
+
+
 def test_invariants_match_networkx(corpus_analyses):
     for name, az in corpus_analyses.items():
         for g in (az.s_graph, az.n_graph):

@@ -192,6 +192,76 @@ def test_galois_numbers_elementary_abelian(k):
     assert _lat(*(2,) * k).count == want
 
 
+def _conjugate(parts):
+    return [sum(1 for part in parts if part > i) for i in range(max(parts, default=0))]
+
+
+def _contained_conjugates(bound, cap=None):
+    """Every nonincreasing sequence nu' with nu'_i <= bound[i], as a tuple."""
+    if not bound:
+        yield ()
+        return
+    top = bound[0] if cap is None else min(bound[0], cap)
+    for first in range(top, -1, -1):
+        for rest in _contained_conjugates(bound[1:], first):
+            yield (first,) + rest
+
+
+def _birkhoff_count(parts, p):
+    """Subgroups of the abelian p-group of type parts (Birkhoff 1935).
+
+    A group of type lambda has prod_i p^(nu'_{i+1} (lambda'_i - nu'_i))
+    [lambda'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_p subgroups of type
+    nu, ' the conjugate partition; summed over every nu inside lambda.
+    """
+    lam = _conjugate(parts)
+    total = 0
+    for nu in _contained_conjugates(lam):
+        nu = nu + (0,)
+        term = 1
+        for i, a in enumerate(lam):
+            term *= p ** (nu[i + 1] * (a - nu[i])) * _q_binomial(a - nu[i + 1], nu[i] - nu[i + 1], p)
+        total += term
+    return total
+
+
+def _abelian_oracle(types):
+    """(L, |V(N)|) of the abelian group with these p-group types, {p: parts}.
+
+    L is multiplicative over the Sylow subgroups. A subgroup is essential
+    exactly when it holds the socle, so the essential ones are the
+    subgroups of G / socle, of the types with every part lowered by one;
+    V(N) is the rest but 0.
+    """
+    count = math.prod(_birkhoff_count(parts, p) for p, parts in types.items())
+    above_socle = math.prod(
+        _birkhoff_count([part - 1 for part in parts if part > 1], p) for p, parts in types.items()
+    )
+    return count, count - above_socle - 1
+
+
+def _prime_power_types(moduli):
+    types = {}
+    for m in moduli:
+        p = next(d for d in range(2, m + 1) if m % d == 0)
+        types.setdefault(p, []).append(next(k for k in range(1, m) if p**k == m))
+    return {p: sorted(parts, reverse=True) for p, parts in types.items()}
+
+
+def test_abelian_counts_match_birkhoff_formula():
+    """L and |V(N)| of every abelian group of order 4..64 but the primes
+    against the closed form, and the order-256 values from the formula."""
+    presentations = abelian_presentations(64)
+    assert len(presentations) == 98
+    for pres in presentations:
+        lat = enumerate_lattice(build_module(pres))
+        want = _abelian_oracle(_prime_power_types(pres.moduli))
+        assert (lat.count, proper_sum_essential_graph(lat).n_vertices) == want, pres.name
+    # past the lattice cap, and the largest lattice of order 256
+    assert _abelian_oracle({2: [1] * 8})[0] == 417_199
+    assert _abelian_oracle({2: [2] + [1] * 6}) == (55_599, 55_596)
+
+
 def test_matrix_ring_lattice():
     mod = build_module(matrix_ring_presentation())
     lat = enumerate_lattice(mod)

@@ -1,4 +1,5 @@
 """Module construction, action rings, annihilators, hom counting, isomorphism."""
+import functools
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from sumess import (
     integer_module,
     is_isomorphic,
 )
+from sumess.modules import _mask_from_bits
 
 moduli_lists = st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=3)
 
@@ -244,6 +246,46 @@ def test_action_ring_cap(ring_presentations):
     assert build_module(z64, caps=Caps(max_action_ring=64)).endo_count == 64
 
 
+def _coset_by_coset_overrun(m, cap):
+    """The size a ring build adding one coset S + jw at a time reports at
+    its first overrun of cap (None if it never overruns), run on the
+    built module's tables."""
+    span = np.zeros((1, m.n), dtype=np.int32)
+    keys = {span[0].tobytes()}
+    queue = [np.arange(m.n, dtype=np.int32)]
+    while queue:
+        w = queue.pop()
+        if w.tobytes() in keys:
+            continue
+        cosets = [span]
+        multiple = w
+        while multiple.tobytes() not in keys:
+            size = len(keys) + span.shape[0]
+            if size > cap:
+                return size
+            coset = m.add[span, multiple]
+            keys.update(row.tobytes() for row in coset)
+            cosets.append(coset)
+            multiple = m.add[multiple, w]
+        span = np.concatenate(cosets)
+        queue.extend(w[g] for g in m.gen_tables)
+    return None
+
+
+def test_action_ring_cap_message_matches_coset_by_coset_build(ring_presentations):
+    presentations = [pres for pres, _ in ring_presentations]
+    presentations += [integer_module("z64", 64), integer_module("z8z2", 8, 2)]
+    for pres in presentations:
+        m = build_module(pres)
+        r = m.endo_count
+        for cap in sorted({r - 1, r // 3, 2, 1, 0}):
+            size = _coset_by_coset_overrun(m, cap)
+            message = f"action ring has at least {size} endomorphisms, cap is {cap}"
+            with pytest.raises(ActionRingCapExceeded) as err:
+                build_module(pres, caps=Caps(max_action_ring=cap))
+            assert str(err.value) == message, pres.name
+
+
 # -- annihilators --------------------------------------------------------------
 
 
@@ -271,6 +313,88 @@ def test_ann_classes_partition_elements():
     # classes are numbered in the order of their least element
     first: dict[int, int] = {}
     assert cls.tolist() == [first.setdefault(m.ann_mask(x), len(first)) for x in range(m.n)]
+
+
+def _unique_rank_classes(m):
+    """Annihilator classes by one np.unique over the packed zero columns,
+    ranked by the least element of each class."""
+    columns = np.packbits(m.endos == 0, axis=0).T
+    _, first, inverse = np.unique(columns, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse.reshape(-1)]
+
+
+def _ring_modules(corpus_analyses, ring_presentations):
+    return [az.module for az in corpus_analyses.values()] + [
+        build_module(pres) for pres, _ in ring_presentations
+    ]
+
+
+def test_annihilator_table_matches_per_element_columns(corpus_analyses, ring_presentations):
+    """ann_class_ids, ann_mask and annihilator against the np.unique rank
+    numbering and one packbits per element column, on the default corpus
+    and the nine generated families."""
+    for m in _ring_modules(corpus_analyses, ring_presentations):
+        name = m.presentation.name
+        cls = m.ann_class_ids()
+        assert cls.dtype == np.int32 and cls.tolist() == _unique_rank_classes(m).tolist(), name
+        for x in range(m.n):
+            column = m.endos[:, x] == 0
+            assert m.ann_mask(x) == _mask_from_bits(column), (name, x)
+            assert m.annihilator(x) == frozenset(np.flatnonzero(column).tolist()), (name, x)
+
+
+def _restart_loop_gens(mask, zero, step, mask_of):
+    """Greedy generating set, then pruned by dropping the first generator
+    the others span the submodule without, restarting after each drop.
+    Returns the greedy set too."""
+    greedy = []
+    span = zero
+    while mask & ~mask_of(span):
+        missing = mask & ~mask_of(span)
+        greedy.append((missing & -missing).bit_length() - 1)
+        span = step(span, greedy[-1])
+    gens = list(greedy)
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for g in gens:
+            rest = [h for h in gens if h != g]
+            if mask_of(functools.reduce(step, rest, zero)) == mask:
+                gens = rest
+                changed = True
+                break
+    return tuple(greedy), tuple(gens)
+
+
+def test_one_pass_prune_matches_restart_loop(corpus_analyses, ring_presentations):
+    """Generating sets of every lattice submodule (spans as lattice ids) and
+    of every cyclic submodule (spans as masks) of the default corpus and the
+    nine generated families against the restart-loop prune."""
+    pruned = 0
+    for m in _ring_modules(corpus_analyses, ring_presentations):
+        lat = SubmoduleLattice(m)
+        up, cyclic, masks = lat.up, lat.cyclic_ids, [s.mask for s in lat.subs]
+
+        def join_ids(span, x):
+            both = up[span] & up[cyclic[x]]
+            return (both & -both).bit_length() - 1
+
+        for sub in lat.subs:
+            greedy, want = _restart_loop_gens(sub.mask, lat.zero_id, join_ids, masks.__getitem__)
+            assert sub.gens == want, (m.presentation.name, sub.canonical_id)
+            pruned += greedy != want
+
+        def join_masks(span, x):
+            return m.join_masks(span, m.cyclic_mask(x))
+
+        for x in range(m.n):
+            sub = m.cyclic_submodule(x)
+            greedy, want = _restart_loop_gens(sub.mask, 1, join_masks, lambda span: span)
+            assert sub.gens == want, (m.presentation.name, x)
+            pruned += greedy != want
+    assert pruned  # the prune drops a generator somewhere
 
 
 # -- cyclic submodules and spans -------------------------------------------------

@@ -25,6 +25,27 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_import_loads_no_pool_or_cli():
+    """A fresh `import sumess` leaves the process pool and the CLI unloaded:
+    run_corpus imports the pool only for jobs > 1, and every process that
+    imports the package pays for each module it loads."""
+    src = str(Path(sumess.__file__).resolve().parents[1])
+    code = (
+        "import json, sys, sumess; "
+        "print(json.dumps([m for m in ('concurrent.futures', 'multiprocessing', 'sumess.cli') "
+        "if m in sys.modules]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 # The names the per-layer tracer of the benchmark (bench/tracing.py, `install`)
 # wraps by attribute lookup. A rename here would break `bench/run.py --trace 1`
 # without failing any other test, so the list is kept in step with that file.
