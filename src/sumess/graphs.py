@@ -76,10 +76,10 @@ class EssGraph:
         self._diameter: float | None = None
         self._girth: float | None = None
 
+        self.rows = [0] * lattice.count
         if kind == "s":
-            rows = [0] * lattice.count
             for lid in self.vertex_ids:
-                rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
+                self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
         elif s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s":
             raise ValueError("s_graph must be the S graph of the same lattice")
         elif bits == s_graph.vertex_bits:
@@ -87,11 +87,9 @@ class EssGraph:
             self.rows, self.deg = s_graph.rows, s_graph.deg
             return
         else:
-            rows = [0] * lattice.count
             for lid in self.vertex_ids:
-                rows[lid] = s_graph.rows[lid] & bits
-        self.rows = rows
-        self.deg = list(map(int.bit_count, rows))
+                self.rows[lid] = s_graph.rows[lid] & bits
+        self.deg = list(map(int.bit_count, self.rows))
 
     # -- basics ---------------------------------------------------------------
 
