@@ -1,9 +1,10 @@
-"""Per-module analysis bundle: module, lattice, graphs, derived caches.
+"""Per-module analysis bundle: module, lattice, graphs, atom classes.
 
-Checkers and the CLI go through this object so the lattice and both graphs
-are built once per module and shared; N(M) is masked from the S(M) built
-here. The submodule predicates read the lattice order's bit-sets, and the
-isomorphism and hom searches are cached per pair of lattice ids.
+Checkers and the CLI go through this object so the lattice, both graphs and
+the isomorphism classes of the atoms are built once per module and shared;
+N(M) is masked from the S(M) built here. The submodule predicates read the
+lattice order's bit-sets. The isomorphism and hom searches run on each
+call: the catalog seldom asks for one pair twice.
 """
 from __future__ import annotations
 
@@ -19,9 +20,6 @@ from .modules import FiniteModule, ModulePresentation, count_homs, is_isomorphic
 class ModuleAnalysis:
     def __init__(self, presentation: ModulePresentation, caps: Caps | None = None):
         self.module = FiniteModule(presentation, caps)
-        self._iso_cache: dict[tuple[int, int], bool] = {}
-        self._hom_cache: dict[tuple[int, int], int] = {}
-        self._atom_classes: list[list[int]] | None = None
 
     @cached_property
     def lattice(self) -> SubmoduleLattice:
@@ -42,45 +40,34 @@ class ModuleAnalysis:
     def iso(self, a: int, b: int) -> bool:
         if a > b:
             a, b = b, a
-        key = (a, b)
-        got = self._iso_cache.get(key)
-        if got is None:
-            got = is_isomorphic(self.lattice.subs[a], self.lattice.subs[b])
-            self._iso_cache[key] = got
-        return got
+        return is_isomorphic(self.lattice.subs[a], self.lattice.subs[b])
 
     def homs(self, a: int, b: int) -> int:
-        key = (a, b)
-        got = self._hom_cache.get(key)
-        if got is None:
-            got = count_homs(self.lattice.subs[a], self.lattice.subs[b])
-            self._hom_cache[key] = got
-        return got
+        return count_homs(self.lattice.subs[a], self.lattice.subs[b])
 
     def sub_is_semisimple(self, i: int) -> bool:
         """A submodule is semisimple iff it lies in the socle, since
         soc(N) = N ∩ soc(M)."""
         return self.lattice.leq(i, self.lattice.socle_id)
 
+    @cached_property
     def atom_iso_classes(self) -> list[list[int]]:
         """Atoms grouped by isomorphism, each class in canonical order.
 
         An atom is compared with the first member of each class of its size
         only: submodules of different sizes are never isomorphic.
         """
-        if self._atom_classes is None:
-            subs = self.lattice.subs
-            classes: list[list[int]] = []
-            for a in self.lattice.atoms:
-                size = subs[a].size
-                for cls in classes:
-                    if subs[cls[0]].size == size and self.iso(cls[0], a):
-                        cls.append(a)
-                        break
-                else:
-                    classes.append([a])
-            self._atom_classes = classes
-        return self._atom_classes
+        subs = self.lattice.subs
+        classes: list[list[int]] = []
+        for a in self.lattice.atoms:
+            size = subs[a].size
+            for cls in classes:
+                if subs[cls[0]].size == size and self.iso(cls[0], a):
+                    cls.append(a)
+                    break
+            else:
+                classes.append([a])
+        return classes
 
     @cached_property
     def n_edge_not_strongly_disjoint(self) -> tuple[int, int] | None:
@@ -99,7 +86,7 @@ class ModuleAnalysis:
         member; a non-atom raises ValueError."""
         if not self.lattice.atom_mask >> a & 1:
             raise ValueError(f"submodule {a} is not simple")
-        return any(a in cls and len(cls) > 1 for cls in self.atom_iso_classes())
+        return any(a in cls and len(cls) > 1 for cls in self.atom_iso_classes)
 
     def report_dict(self) -> dict:
         """Full JSON-ready analysis report; field order fixed."""

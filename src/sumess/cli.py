@@ -42,38 +42,31 @@ def _print_graph_report(az: ModuleAnalysis, kind: str) -> None:
 
 def cmd_analyze(args) -> int:
     caps = caps_from_env()
-    try:
-        pres = load_spec(args.spec)
-        az = ModuleAnalysis(pres, caps=caps)
-        lat = az.lattice
-        kinds = [args.graph] if args.graph else ["s", "n"]
-        print(
-            f"module {pres.name}: order {az.module.n}, "
-            f"{lat.count} submodules, action ring size {az.module.endo_count}"
-        )
-        print(
-            f"  socle {lat.subs[lat.socle_id].label}, "
-            f"radical {lat.subs[lat.radical_id].label}, "
-            f"semisimple={lat.is_semisimple()}, uniform={lat.is_uniform_module()}, "
-            f"uniform_dimension={lat.uniform_dimension()}"
-        )
-        for kind in kinds:
-            _print_graph_report(az, kind)
-        if args.lattice:
-            print(lat.dump_text())
-        if args.dot:
-            g = az.n_graph if args.graph == "n" else az.s_graph
-            with open(args.dot, "wb") as fh:
-                g.write_dot(fh, pres.name)
-        if args.report:
-            with open(args.report, "w") as fh:
-                fh.write(az.report_json())
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except SumEssError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    pres = load_spec(args.spec)
+    az = ModuleAnalysis(pres, caps=caps)
+    lat = az.lattice
+    kinds = [args.graph] if args.graph else ["s", "n"]
+    print(
+        f"module {pres.name}: order {az.module.n}, "
+        f"{lat.count} submodules, action ring size {az.module.endo_count}"
+    )
+    print(
+        f"  socle {lat.subs[lat.socle_id].label}, "
+        f"radical {lat.subs[lat.radical_id].label}, "
+        f"semisimple={lat.is_semisimple()}, uniform={lat.is_uniform_module()}, "
+        f"uniform_dimension={lat.uniform_dimension()}"
+    )
+    for kind in kinds:
+        _print_graph_report(az, kind)
+    if args.lattice:
+        print(lat.dump_text())
+    if args.dot:
+        g = az.n_graph if args.graph == "n" else az.s_graph
+        with open(args.dot, "wb") as fh:
+            g.write_dot(fh, pres.name)
+    if args.report:
+        with open(args.report, "w") as fh:
+            fh.write(az.report_json())
     return 0
 
 
@@ -95,11 +88,7 @@ def cmd_corpus(args) -> int:
         extra_spec_files=tuple(args.extra),
         theorem_ids=check,
     )
-    try:
-        result = run_corpus(cspec, caps=caps, jobs=args.jobs, dot_dir=args.dot_dir)
-    except SumEssError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run_corpus(cspec, caps=caps, jobs=args.jobs, dot_dir=args.dot_dir)
     write_csv(result.rows, args.out)
     # the checker rows: error and cap-exceeded rows are reported on their own
     verdicts = [r for r in result.rows if r.theorem_id not in ("error", "cap-exceeded")]
@@ -128,16 +117,8 @@ def cmd_corpus(args) -> int:
 
 def cmd_verify(args) -> int:
     caps = caps_from_env()
-    try:
-        pres = load_spec(args.spec)
-        az = ModuleAnalysis(pres, caps=caps)
-        verdict = run_catalog(az, args.theorem_id)[0]
-    except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 3
-    except SumEssError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    pres = load_spec(args.spec)
+    verdict = run_catalog(ModuleAnalysis(pres, caps=caps), args.theorem_id)[0]
     if not verdict.applicable:
         status = "INAPPLICABLE"
     elif verdict.passed:
@@ -204,10 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Library errors become exit codes here alone: a
+    cap overrun 3, any other library or value error 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except CapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except (SumEssError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

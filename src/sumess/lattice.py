@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -110,7 +111,6 @@ class SubmoduleLattice:
         for s in self.subs:
             s.joins = joins
         self._complement_cache: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._class_set_cache: dict[int, frozenset[int]] = {}
 
     # -- enumeration ---------------------------------------------------------
 
@@ -251,30 +251,23 @@ class SubmoduleLattice:
         self.down = down
         self.up = up
 
-        # a proper containment S < T ends in a step into T from a submodule
-        # above S, and starts with a step from S to one below T; so an atom
-        # is a target of steps from 0 alone, a coatom a source of steps to M
-        # alone
-        not_atom = np.zeros(L, dtype=bool)
-        not_atom[targets[sources != self.zero_id]] = True
-        not_atom[self.zero_id] = True
-        not_coatom = np.zeros(L, dtype=bool)
-        not_coatom[sources[targets != self.full_id]] = True
-        not_coatom[self.full_id] = True
-        self.atoms = tuple((~not_atom).nonzero()[0].tolist())
-        self.coatoms = tuple((~not_coatom).nonzero()[0].tolist())
+        zero, full = self.zero_id, self.full_id
+        # the lowest nonzero id left is an atom: a nonzero submodule below
+        # it has a lower id, so it was cleared as lying above an atom taken
+        # earlier, and then so would the lowest id have been
+        atoms = []
+        rest = up[zero] & ~(1 << zero)
+        while rest:
+            a = _low_bit(rest)
+            atoms.append(a)
+            rest &= ~up[a]
+        self.atoms = tuple(atoms)
+        self.coatoms = tuple(self.maximal(down[full] & ~(1 << full)))
         self.atom_mask = sum(1 << a for a in self.atoms)
-
-        above_atoms = up[self.zero_id]
-        for a in self.atoms:
-            above_atoms &= up[a]
-        self.socle_id = _low_bit(above_atoms)
-        below_coatoms = down[self.full_id]
-        for c in self.coatoms:
-            below_coatoms &= down[c]
-        self.radical_id = below_coatoms.bit_length() - 1
+        self.socle_id = reduce(self.join, self.atoms, zero)
+        self.radical_id = reduce(self.meet, self.coatoms, full)
         self._inessential_tops = sum(
-            1 << w for w in self.maximal(down[self.full_id] & ~up[self.socle_id])
+            1 << w for w in self.maximal(down[full] & ~up[self.socle_id])
         )
 
     # -- basic access --------------------------------------------------------
@@ -405,13 +398,9 @@ class SubmoduleLattice:
 
     # -- strongly disjoint ----------------------------------------------------
 
-    def _ann_class_set(self, i: int) -> frozenset[int]:
-        cached = self._class_set_cache.get(i)
-        if cached is None:
-            cls = self.module.ann_class_ids()
-            cached = frozenset(int(cls[x]) for x in self.subs[i].members if x != 0)
-            self._class_set_cache[i] = cached
-        return cached
+    def _ann_class_set(self, i: int) -> set[int]:
+        cls = self.module.ann_class_ids()
+        return {int(cls[x]) for x in self.subs[i].members if x != 0}
 
     def element_disjoint(self, i: int, j: int) -> bool:
         """No nonzero element of one has the same annihilator as one of the other."""

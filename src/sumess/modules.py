@@ -249,7 +249,6 @@ class FiniteModule:
 
         s = (coords[:, None, :] + coords[None, :, :]) % self._mod_arr
         self.add = (s @ self._strides).astype(np.int32)
-        self.neg = (((-coords) % self._mod_arr) @ self._strides).astype(np.int32)
 
         action = presentation.action
         self.gen_tables = (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .analysis import ModuleAnalysis
 from .errors import HypothesisNotMet, UnknownTheoremId
@@ -521,7 +522,7 @@ def check_example_degree_formula(az: ModuleAnalysis) -> TheoremVerdict:
         return _inapplicable(tid, "module not semisimple")
     if len(lat.atoms) < 2:
         return _inapplicable(tid, "fewer than two simple summands")
-    if any(len(c) > 1 for c in az.atom_iso_classes()):
+    if any(len(c) > 1 for c in az.atom_iso_classes):
         return _inapplicable(tid, "isomorphic simple summands present")
     n_atoms = len(lat.atoms)
     s = az.s_graph
@@ -712,32 +713,52 @@ def check_npartite(az: ModuleAnalysis) -> TheoremVerdict:
     return _asserted(tid, sides, w.detail if not w.valid else None)
 
 
+def _subspace_count(k: int, q: int) -> int:
+    """Subspaces of F_q^k: the sum over b of the Gaussian binomials [k, b]_q."""
+    total, term = 0, 1
+    for b in range(k + 1):
+        total += term
+        # [k, b + 1]_q = [k, b]_q (q^(k-b) - 1) / (q^(b+1) - 1)
+        term = term * (q ** (k - b) - 1) // (q ** (b + 1) - 1)
+    return total
+
+
+def _isotypic_count(az: ModuleAnalysis) -> int:
+    """Submodules of a semisimple M = (+)_i S_i^(k_i), counted from module maps.
+
+    Each isotypic component S_i^(k_i), the join of S_i's atom class, is a
+    k_i-dimensional space over End(S_i), a finite division ring and so a
+    field of q_i = |End(S_i)| elements (Wedderburn), and a submodule is the
+    sum of one subspace of each component.
+    """
+    lat = az.lattice
+    total = 1
+    for cls in az.atom_iso_classes:
+        simple = lat.subs[cls[0]].size
+        k = round(math.log(lat.subs[reduce(lat.join, cls)].size, simple))
+        total *= _subspace_count(k, az.homs(cls[0], cls[0]))
+    return total
+
+
 def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
-    """Finiteness characterization: the two substantive branches of (4)."""
+    """Finiteness characterization: the two substantive branches of (4).
+
+    A semisimple module has as many submodules as its isotypic components
+    predict; a non-semisimple one has a proper essential socle.
+    """
     tid = "finiteness"
     lat = az.lattice
     witness = None
     if lat.is_semisimple():
-        family = lat._independent_atom_family()
-        acc = lat.zero_id
-        direct = True
-        for a in family:
-            if lat.meet(acc, a) != lat.zero_id:
-                direct = False
-            acc = lat.join(acc, a)
-        decomposition_ok = direct and acc == lat.full_id
-        if not decomposition_ok:
-            witness = "greedy simple decomposition not direct or not spanning"
-        for i, a in enumerate(family):
-            for b in family[i + 1 :]:
-                az.homs(a, b)
-        branch = decomposition_ok
+        predicted = _isotypic_count(az)
+        branch = lat.count == predicted
+        if not branch:
+            witness = f"{lat.count} submodules, isotypic count predicts {predicted}"
     else:
         branch = lat.socle_id != lat.full_id and lat.is_essential(lat.socle_id)
         if not branch:
             witness = "no proper essential submodule found in non-semisimple module"
     sides = {
-        "finite_enumeration_recorded": True,
         "socle_essential": lat.is_essential(lat.socle_id),
         "condition_four_branch": branch,
     }

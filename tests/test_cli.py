@@ -88,6 +88,12 @@ def test_analyze_cap_exceeded_env(z8z2_spec, capsys, monkeypatch):
     assert "cap exceeded" in capsys.readouterr().err
 
 
+def test_verify_cap_exceeded_env(z8z2_spec, capsys, monkeypatch):
+    monkeypatch.setenv("SUMESS_CAPS", "elements=8")
+    assert main(["verify", z8z2_spec, "thm-1.5"]) == 3
+    assert "cap exceeded" in capsys.readouterr().err
+
+
 def test_bad_caps_env(z8z2_spec, capsys, monkeypatch):
     monkeypatch.setenv("SUMESS_CAPS", "wat=9")
     assert main(["analyze", z8z2_spec]) == 2

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -827,6 +828,33 @@ def test_order_queries_match_raw_masks(name):
             assert g.neighbors(u) == want, (name, g.kind, u)
             for v in want_vertices:
                 assert g.adjacent(u, v) == (v in want), (name, g.kind, u, v)
+
+
+def test_lattice_extremes_match_raw_masks(ring_presentations):
+    """Atoms, coatoms, socle and radical against the raw masks: the minimal
+    nonzero and maximal proper masks, the set sum of the atoms and the
+    intersection of the coatoms, on every abelian group of order <= 64 but
+    z2^6 and on the nine generated families."""
+    presentations = [p for p in _abelian_up_to(64) if p.moduli != (2,) * 6]
+    presentations += [pres for pres, _ in ring_presentations]
+    for pres in presentations:
+        lat = enumerate_lattice(build_module(pres))
+        mod = lat.module
+        masks = [s.mask for s in lat.subs]
+        full = (1 << mod.n) - 1
+        bits = np.array([bits_from_mask(m, mod.n) for m in masks], dtype=np.float32)
+        # inside[i, j]: subs[i] lies strictly inside subs[j]
+        inside = (bits @ (1 - bits).T == 0) & ~np.eye(len(masks), dtype=bool)
+        nonzero = np.array([m != 1 for m in masks])
+        proper = np.array([m != full for m in masks])
+        atoms = np.flatnonzero(nonzero & ~(inside & nonzero[:, None]).any(axis=0)).tolist()
+        coatoms = np.flatnonzero(proper & ~(inside & proper).any(axis=1)).tolist()
+        assert list(lat.atoms) == atoms, pres.name
+        assert list(lat.coatoms) == coatoms, pres.name
+        socle = reduce(lambda a, b: _set_sum(mod, a, b), (masks[a] for a in atoms), 1)
+        radical = reduce(lambda a, b: a & b, (masks[c] for c in coatoms), full)
+        assert masks[lat.socle_id] == socle, pres.name
+        assert masks[lat.radical_id] == radical, pres.name
 
 
 def _meets_imply_socle_scan(lat, u):

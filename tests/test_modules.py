@@ -81,7 +81,7 @@ def test_group_axioms(moduli, data):
     assert add[x, y] == add[y, x]
     assert add[add[x, y], z] == add[x, add[y, z]]
     assert add[x, 0] == x
-    assert add[x, m.neg[x]] == 0
+    assert (add[x] == 0).any()  # x has an inverse
 
 
 def test_invalid_moduli():

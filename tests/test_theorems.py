@@ -4,10 +4,12 @@ import pytest
 from sumess import (
     CATALOG_ALL,
     Caps,
+    CorpusSpec,
     HomSearchCapExceeded,
     ModuleAnalysis,
     REGISTRY,
     UnknownTheoremId,
+    enumerate_corpus,
     integer_module,
     is_isomorphic,
     run_catalog,
@@ -398,6 +400,35 @@ def test_finiteness_cap_overrun_propagates():
     az = ModuleAnalysis(integer_module("z2z2", 2, 2), caps=Caps(max_hom_search=1))
     with pytest.raises(HomSearchCapExceeded):
         REGISTRY["finiteness"](az)
+
+
+def test_finiteness_isotypic_count_oracle(ring_presentations):
+    """The submodule count predicted from End(S_i) and the isotypic
+    multiplicities equals L on every semisimple module of the --deep corpus
+    and the nine generated families."""
+    presentations = enumerate_corpus(CorpusSpec(max_order=64))
+    presentations += [pres for pres, _ in ring_presentations]
+    semisimple = []
+    for pres in presentations:
+        az = ModuleAnalysis(pres)
+        v = REGISTRY["finiteness"](az)
+        assert v.passed, (pres.name, v.witness)
+        if az.lattice.is_semisimple():
+            semisimple.append(pres.name)
+    assert len(semisimple) == 46 + 4, semisimple
+
+
+def test_finiteness_count_mutants_fail(monkeypatch):
+    """A wrong field size or a wrong lattice count fails the semisimple branch."""
+    az = _az(3, 3)
+    assert REGISTRY["finiteness"](az).passed
+    with monkeypatch.context() as m:
+        m.setattr(ModuleAnalysis, "homs", lambda self, a, b: 2)
+        v = REGISTRY["finiteness"](az)
+    assert not v.passed and v.witness == "6 submodules, isotypic count predicts 5"
+    monkeypatch.setattr(az.lattice, "count", az.lattice.count + 1)
+    v = REGISTRY["finiteness"](az)
+    assert not v.passed and v.witness == "7 submodules, isotypic count predicts 6"
 
 
 def test_gates(z8z2, z4z9, z8z3):
