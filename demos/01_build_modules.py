@@ -28,7 +28,7 @@ print("|ann (4,1)| =", len(ann), "of", mod.endo_count, "endomorphisms")
 c = mod.cyclic_submodule(mod.element((2, 0)))
 print("cyclic <(2,0)> has", c.size, "elements, label", c.label)
 
-# Hom counting between submodules. For cyclic groups the count is a gcd,
+# Hom counting from a cyclic submodule. For cyclic groups the count is a gcd,
 # which makes a handy external check.
 z12 = build_module(integer_module("z12", 12))
 a = z12.cyclic_submodule(z12.element((4,)))   # copy of Z3

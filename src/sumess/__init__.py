@@ -22,7 +22,6 @@ from .errors import (
     Caps,
     CapExceeded,
     ElementCapExceeded,
-    HomSearchCapExceeded,
     HypothesisNotMet,
     IllFormedGenerator,
     InvalidModuli,
@@ -79,7 +78,6 @@ __all__ = [
     "Caps",
     "CapExceeded",
     "ElementCapExceeded",
-    "HomSearchCapExceeded",
     "HypothesisNotMet",
     "IllFormedGenerator",
     "InvalidModuli",

@@ -3,8 +3,8 @@
 Checkers and the CLI go through this object so the lattice, both graphs and
 the isomorphism classes of the atoms are built once per module and shared;
 N(M) is masked from the S(M) built here. The submodule predicates read the
-lattice order's bit-sets. The isomorphism and hom searches run on each
-call: the catalog seldom asks for one pair twice.
+lattice order's bit-sets. Isomorphism tests and hom counts read the
+annihilator table on each call: the catalog seldom asks for one pair twice.
 """
 from __future__ import annotations
 
@@ -38,8 +38,6 @@ class ModuleAnalysis:
         return self.lattice.count == 2
 
     def iso(self, a: int, b: int) -> bool:
-        if a > b:
-            a, b = b, a
         return is_isomorphic(self.lattice.subs[a], self.lattice.subs[b])
 
     def homs(self, a: int, b: int) -> int:

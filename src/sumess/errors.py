@@ -33,10 +33,6 @@ class ActionRingCapExceeded(CapExceeded):
     pass
 
 
-class HomSearchCapExceeded(CapExceeded):
-    pass
-
-
 class LatticeCapExceeded(CapExceeded):
     pass
 
@@ -65,14 +61,12 @@ class Caps:
 
     max_elements: int = 512
     max_action_ring: int = 65536
-    max_hom_search: int = 1_000_000
     max_lattice: int = 100_000
 
 
 _CAP_KEYS = {
     "elements": "max_elements",
     "action_ring": "max_action_ring",
-    "hom_search": "max_hom_search",
     "lattice": "max_lattice",
 }
 
@@ -81,7 +75,7 @@ def caps_from_env(base: Caps | None = None, env: str | None = None) -> Caps:
     """Parse the SUMESS_CAPS override string.
 
     Format: comma-separated ``key=value`` pairs with keys elements,
-    action_ring, hom_search, lattice. Unknown keys raise ValueError.
+    action_ring, lattice. Unknown keys raise ValueError.
     """
     caps = base or Caps()
     raw = env if env is not None else os.environ.get("SUMESS_CAPS", "")

@@ -5,14 +5,15 @@ A module is presented as a finite abelian group Z_{d1} + ... + Z_{dk}
 acting by scalars, or a generated action given by k-by-k integer matrices.
 The generator tables (gen_tables, one function table per matrix, none for
 the integers) are the working action: a subgroup closed under them is a
-submodule, and an additive map commuting with them commutes with every sum
-of their words, so hom and iso search and the closure check of cyclic
-submodules read the generators only. The action ring is materialized too,
-as endomorphism function tables: the additive span of the identity and all
-composites of the generator tables, enumerated one coset of a new word at
-a time. It always contains the identity and the zero map; for the integer
-action it is the scalars 0..exponent-1. It serves the scatter of the
-cyclic submodules, the annihilators and the ring size (endo_count).
+submodule, so the closure check of cyclic submodules reads them only. The
+action ring is materialized too, as endomorphism function tables: the
+additive span of the identity and all composites of the generator tables,
+enumerated one coset of a new word at a time. It always contains the
+identity and the zero map; for the integer action it is the scalars
+0..exponent-1. It serves the scatter of the cyclic submodules, the
+annihilators and the ring size (endo_count). Maps are asked of cyclic
+submodules only (every simple module is cyclic), and count_homs and
+is_isomorphic read Hom(Rx, N) off the annihilator table.
 
 Elements are addressed by a dense index: index = sum(c_i * stride_i) with
 stride_0 = 1 and stride_i = stride_{i-1} * d_{i-1}, so the first coordinate
@@ -36,7 +37,6 @@ from .errors import (
     ActionRingCapExceeded,
     Caps,
     ElementCapExceeded,
-    HomSearchCapExceeded,
     IllFormedGenerator,
     InvalidModuli,
 )
@@ -144,8 +144,9 @@ class Submodule:
     back-reference to the lattice, so no reference cycle keeps the lattice's
     tables alive, and a submodule still gives its label after its lattice is
     dropped. members (the ascending element indices), gens and label are
-    computed on first use and kept; only the hom and iso searches and the
-    annihilator class sets read members.
+    computed on first use and kept; members is read where a question runs
+    over elements: the hom counts, isomorphism tests and annihilator class
+    sets.
     """
 
     __slots__ = ("module", "mask", "size", "canonical_id", "joins", "_gens", "_members", "_label")
@@ -451,131 +452,47 @@ def build_module(presentation: ModulePresentation, caps: Caps | None = None) -> 
 # -- homomorphisms ----------------------------------------------------------
 
 
-def _propagate(module: FiniteModule, gens, images) -> list[int] | None:
-    """The table of the homomorphism on the submodule D generated by gens
-    that sends them to images; None if there is none.
-
-    The orbit O of gens under the generator tables (gens included) spans D
-    as a group, since the action ring is the additive span of the words in
-    the tables. So f is set on O by f(t(x)) = t(f(x)), then on D, walked
-    from 0, by f(x + o) = f(x) + f(o) for every x in D and o in O, and any
-    conflict rejects. A table that passes is additive, as every element of
-    D is a sum of members of O, and commutes with each t on O, hence on D.
-    It is defined (≠ -1) exactly on D. For the integer action O is gens.
-    """
-    f = [-1] * module.n
-    f[0] = 0
-    walk = [0]  # 0, then O, then the rest of D in the order it is reached
-
-    def assign(x: int, v: int) -> bool:
-        if f[x] == -1:
-            f[x] = v
-            walk.append(x)
-            return True
-        return f[x] == v
-
-    for g, img in zip(gens, images):
-        if not assign(g, img):
-            return None
-    for x in walk:  # grows to O (every table fixes 0)
-        for t in module.gen_tables:
-            if not assign(t.item(x), t.item(f[x])):
-                return None
-    orbit = [(o, f[o]) for o in walk[1:]]
-    add = module.add.item
-    for x in walk:  # grows to D
-        fx = f[x]
-        for o, fo in orbit:
-            if not assign(add(x, o), add(fx, fo)):
-                return None
-    return f
-
-
-def _maps(dom: Submodule, candidates, injective: bool, budget: int | None):
-    """Yield the table of each homomorphism on dom with gen images from candidates.
-
-    candidates[i] lists the images tried for dom.gens[i]. Backtracking over
-    the generators one at a time: each placement is propagated and pruned
-    on a conflict, or with `injective` on two elements of dom sharing an
-    image, before the next generator is tried. A conflict of some
-    generators' images stays a conflict with more images, so no map is
-    lost. budget caps the placements tried, for the iso search; past it,
-    HomSearchCapExceeded. The search keeps a stack of candidate iterators,
-    one per generator placed: a recursive closure would reach itself through
-    its own cell, a reference cycle that holds the module until a cyclic
-    collection.
-    """
-    module, gens = dom.module, dom.gens
-    if not gens:
-        yield _propagate(module, gens, ())
-        return
-    members = [int(x) for x in dom.members]
-
-    def injective_so_far(f: list[int]) -> bool:
-        images = [f[x] for x in members if f[x] != -1]
-        return len(set(images)) == len(images)
-
-    images: list[int] = []  # the images of gens[:len(tries) - 1]
-    tries = [iter(candidates[0])]
-    nodes = 0
-    while tries:
-        img = next(tries[-1], None)
-        if img is None:
-            tries.pop()
-            if images:
-                images.pop()
-            continue
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise HomSearchCapExceeded(f"iso search exceeded cap {budget} for |{dom.size}| pair")
-        depth = len(images) + 1
-        f = _propagate(module, gens[:depth], images + [img])
-        if f is None or injective and not injective_so_far(f):
-            continue
-        if depth == len(gens):
-            yield f  # the gens generate dom, so f is total on it
-            continue
-        images.append(img)
-        tries.append(iter(candidates[depth]))
+def _cyclic_generator(sub: Submodule) -> int | None:
+    """An element generating sub, or None if sub is not cyclic."""
+    cyclics = sub.module.cyclic_masks()
+    return next((x for x in sub.members.tolist() if cyclics[x] == sub.mask), None)
 
 
 def count_homs(dom: Submodule, cod: Submodule) -> int:
-    """Number of additive maps dom -> cod commuting with the action.
+    """Number of module maps from the cyclic submodule dom = Rx to cod.
 
-    One map search (_maps) with every member of cod a candidate image of
-    each generator of dom; its space cod.size^t is capped up front.
+    A map is fixed by the image y of x, and rx -> ry is well defined iff
+    Ann(x) ⊆ Ann(y): the count is the number of such y in cod, read from
+    the annihilator table. A non-cyclic dom raises ValueError.
     """
     module = dom.module
     if cod.module is not module:
         raise ValueError("count_homs requires submodules of the same module")
-    t = len(dom.gens)
-    total = cod.size**t
-    if total > module.caps.max_hom_search:
-        raise HomSearchCapExceeded(
-            f"hom search space {cod.size}^{t} = {total} exceeds cap {module.caps.max_hom_search}"
-        )
-    members = [int(x) for x in cod.members]
-    return sum(1 for _ in _maps(dom, [members] * t, False, None))
+    x = _cyclic_generator(dom)
+    if x is None:
+        raise ValueError(f"count_homs needs a cyclic domain, {dom.label} is not cyclic")
+    ann_x = module.ann_mask(x)
+    return sum(1 for y in cod.members.tolist() if ann_x & ~module.ann_mask(y) == 0)
 
 
 def is_isomorphic(a: Submodule, b: Submodule) -> bool:
-    """True iff there is a bijective module homomorphism a -> b.
+    """True iff a and b are isomorphic; at least one must be cyclic.
 
-    One map search (_maps) for an injective map, which onto b of a's size
-    is bijective. Candidate images are restricted to b-elements with the
-    same annihilator as the generator (an isomorphism preserves annihilators
-    exactly), and the search tries at most caps.max_hom_search placements.
+    Rx and Ry are isomorphic iff Ann(x) = Ann(y). So a cyclic side Rx is
+    isomorphic to the other side iff the two have one size and the other
+    holds some y with Ann(y) = Ann(x): then Ry lies in it and has its size.
+    Two non-cyclic sides raise ValueError.
     """
     module = a.module
     if b.module is not module:
         raise ValueError("is_isomorphic requires submodules of the same module")
     if a.mask == b.mask:
         return True
-    if a.size != b.size:
-        return False
+    x = _cyclic_generator(a)
+    if x is None:
+        a, b = b, a
+        x = _cyclic_generator(a)
+    if x is None:
+        raise ValueError(f"is_isomorphic needs a cyclic side, neither {b.label} nor {a.label} is cyclic")
     cls = module.ann_class_ids()
-    if sorted(int(cls[x]) for x in a.members) != sorted(int(cls[x]) for x in b.members):
-        # annihilator multisets are isomorphism invariants
-        return False
-    candidates = [[int(x) for x in b.members if cls[x] == cls[g]] for g in a.gens]
-    return next(_maps(a, candidates, True, module.caps.max_hom_search), None) is not None
+    return a.size == b.size and bool((cls[b.members] == cls[x]).any())

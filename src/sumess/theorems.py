@@ -744,10 +744,13 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
     """Finiteness characterization: the two substantive branches of (4).
 
     A semisimple module has as many submodules as its isotypic components
-    predict; a non-semisimple one has a proper essential socle.
+    predict; a non-semisimple one has a proper essential socle. Essentiality
+    is read by quantifier (is_essential_definitional): the order's fast path
+    tests whether the socle lies below the socle, which is always true.
     """
     tid = "finiteness"
     lat = az.lattice
+    socle_essential = lat.is_essential_definitional(lat.socle_id)
     witness = None
     if lat.is_semisimple():
         predicted = _isotypic_count(az)
@@ -755,11 +758,11 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
         if not branch:
             witness = f"{lat.count} submodules, isotypic count predicts {predicted}"
     else:
-        branch = lat.socle_id != lat.full_id and lat.is_essential(lat.socle_id)
+        branch = socle_essential
         if not branch:
             witness = "no proper essential submodule found in non-semisimple module"
     sides = {
-        "socle_essential": lat.is_essential(lat.socle_id),
+        "socle_essential": socle_essential,
         "condition_four_branch": branch,
     }
     return _asserted(tid, sides, witness)

@@ -101,6 +101,9 @@ def test_bad_caps_env(z8z2_spec, capsys, monkeypatch):
     monkeypatch.setenv("SUMESS_CAPS", "clique=5")
     assert main(["analyze", z8z2_spec]) == 2
     assert "clique" in capsys.readouterr().err
+    monkeypatch.setenv("SUMESS_CAPS", "hom_search=5")
+    assert main(["analyze", z8z2_spec]) == 2
+    assert "hom_search" in capsys.readouterr().err
 
 
 def test_verify_pass(tmp_path, capsys):

@@ -14,7 +14,6 @@ from sumess import (
     CorpusSpec,
     ElementCapExceeded,
     FiniteModule,
-    HomSearchCapExceeded,
     IllFormedGenerator,
     InvalidModuli,
     SubmoduleLattice,
@@ -450,13 +449,16 @@ def test_count_homs_gcd_identities(z12):
 
 
 def test_count_homs_matrix_sizes():
-    # maps Z2^2 -> Z2^2 are 2x2 matrices over F2
+    # maps F2 -> Z2^2 are the 4 columns; Z2^2 is not cyclic, so it is no domain
     m = _mod(2, 2)
     full = m.submodule_from_mask((1 << m.n) - 1)
-    assert count_homs(full, full) == 16
     sub = m.cyclic_submodule(1)
     assert count_homs(sub, full) == 4
-    assert count_homs(full, sub) == 4
+    assert count_homs(sub, sub) == 2
+    with pytest.raises(ValueError, match=r"cyclic domain, M is not cyclic"):
+        count_homs(full, full)
+    with pytest.raises(ValueError, match="cyclic domain"):
+        count_homs(full, sub)
 
 
 def test_count_homs_annihilator_oracle(z12):
@@ -479,80 +481,87 @@ def test_count_homs_annihilator_oracle(z12):
             assert count_homs(a, b) == ok
 
 
-def test_count_homs_from_zero_and_caps():
+def test_count_homs_from_zero_and_non_cyclic():
     m = _mod(4, 2)
     zero = m.submodule_from_mask(1)
     full = m.submodule_from_mask((1 << m.n) - 1)
+    z4 = m.cyclic_submodule(m.encode((1, 0)))
     assert count_homs(zero, full) == count_homs(zero, zero) == 1
-    assert count_homs(full, zero) == 1
-    # the space cod.size^t is capped before any map is tried
-    capped = build_module(integer_module("m", 4, 2), caps=Caps(max_hom_search=63))
-    full = capped.submodule_from_mask((1 << capped.n) - 1)
-    with pytest.raises(HomSearchCapExceeded, match=r"hom search space 8\^2 = 64 exceeds cap 63"):
-        count_homs(full, full)
+    assert count_homs(z4, zero) == 1
+    assert count_homs(z4, full) == 8  # Ann = 4Z: every element of Z4 x Z2
+    with pytest.raises(ValueError, match="cyclic domain"):
+        count_homs(full, zero)
 
 
-def _ring_homs(dom, cod) -> list[tuple[int, ...]]:
+def _ring_homs(dom, cod, x) -> list[tuple[int, ...]]:
     """Image tables on dom.members of the maps dom -> cod, by brute force on the ring.
 
-    Each member x of dom is written once as e_1(g_1) + ... + e_t(g_t), e_i
-    rows of the action ring and g_i = dom.gens[i]. For each choice of images
-    y_i in cod, the candidate map sends x to e_1(y_1) + ... + e_t(y_t); it is
-    kept when it sends each g_i to y_i, is additive, and commutes with every
-    row of the ring on dom's members. All choices are checked at once, one
-    row each. Neither the generator tables nor the map search is used.
+    dom is the cyclic submodule of x, so each member of dom is e(x) for some
+    row e of the action ring; one such e is fixed per member. For each image
+    y in cod, the candidate map sends e(x) to e(y); it is kept when it sends
+    x to y, is additive, and commutes with every row of the ring on dom's
+    members. All candidates and rows are checked at once. Neither the
+    generator tables nor the annihilator table is used.
     """
     m = dom.module
-    n, add, endos = m.n, m.add, m.endos
-    t = len(dom.gens)
-    zero = int(np.flatnonzero(~endos.any(axis=1))[0])
-    rep = {0: [zero] * t}
-    for i, g in enumerate(dom.gens):
-        for x, r in list(rep.items()):
-            for e, y in enumerate(add[x, endos[:, g]].tolist()):
-                rep.setdefault(y, r[:i] + [e] + r[i + 1 :])
-    choices = list(itertools.product(cod.members.tolist(), repeat=t))
-    ys = np.array(choices, dtype=np.int64).reshape(len(choices), t)
-    members = dom.members
-    f = np.zeros((len(choices), n), dtype=np.int64)
-    for x in members.tolist():
-        for i, e in enumerate(rep[x]):
-            f[:, x] = add[f[:, x], endos[e][ys[:, i]]]
-    ok = (f[:, list(dom.gens)] == ys).all(axis=1)
-    for row in endos:
-        ok &= (f[:, row[members]] == row[f[:, members]]).all(axis=1)
+    add, endos = m.add, m.endos
+    row_of = {}
+    for e, z in enumerate(endos[:, x].tolist()):
+        row_of.setdefault(z, e)
+    members, ys = dom.members, cod.members
+    f = np.zeros((len(ys), m.n), dtype=np.int64)
+    f[:, members] = endos[[row_of[z] for z in members.tolist()]][:, ys].T
+    ok = f[:, x] == ys
+    ok &= (f[:, endos[:, members]] == endos[:, f[:, members]].swapaxes(0, 1)).all(axis=(1, 2))
     f = f[ok]  # the additivity check, the costliest, runs on the rest only
     ok = np.ones(len(f), dtype=bool)
-    for x in members.tolist():
-        ok &= (f[:, add[x, members]] == add[f[:, [x]], f[:, members]]).all(axis=1)
+    for z in members.tolist():
+        ok &= (f[:, add[z, members]] == add[f[:, [z]], f[:, members]]).all(axis=1)
     return [tuple(r) for r in f[ok][:, members].tolist()]
 
 
+def _ring_generator(sub) -> int | None:
+    """A member x of sub whose orbit under the whole action ring is sub, or None."""
+    endos = sub.module.endos
+    return next((x for x in sub.members.tolist() if np.unique(endos[:, x]).size == sub.size), None)
+
+
 def test_hom_and_iso_search_match_ring_oracle(ring_presentations):
-    """count_homs and is_isomorphic, which act through the generators, agree
-    with maps checked against the whole action ring, on the generated families
-    and on integer modules with several generators per submodule."""
+    """count_homs and is_isomorphic, which read the annihilator table, agree
+    with maps checked against the whole action ring on every pair with a
+    cyclic side, on the generated families and on integer modules whose
+    cyclic submodules need several greedy generators. A pair of non-cyclic
+    sides is refused."""
     integer = [
         integer_module("z8z2", 8, 2),
         integer_module("z4z4", 4, 4),
         integer_module("z4z2z2", 4, 2, 2),
         integer_module("z3z3", 3, 3),
         integer_module("z9z3", 9, 3),
+        integer_module("z2^4", 2, 2, 2, 2),
+        integer_module("z2z3", 2, 3),
     ]
-    compared = 0
+    compared = refused = 0
     for pres in [pres for pres, _ in ring_presentations] + integer:
         lat = SubmoduleLattice(build_module(pres))
+        gen = {s.mask: _ring_generator(s) for s in lat.subs}
         for a in lat.subs:
             for b in lat.subs:
-                if b.size ** len(a.gens) > 4096:
+                if gen[a.mask] is None:
+                    with pytest.raises(ValueError, match="cyclic domain"):
+                        count_homs(a, b)
+                    if gen[b.mask] is None and a != b:
+                        with pytest.raises(ValueError, match="cyclic side"):
+                            is_isomorphic(a, b)
+                        refused += 1
                     continue
-                maps = _ring_homs(a, b)
+                maps = _ring_homs(a, b, gen[a.mask])
                 assert count_homs(a, b) == len(maps), (pres.name, a.label, b.label)
-                onto = {int(x) for x in b.members}
+                onto = set(b.members.tolist())
                 bijective = a.size == b.size and any(set(t) == onto for t in maps)
-                assert is_isomorphic(a, b) == bijective, (pres.name, a.label, b.label)
+                assert is_isomorphic(a, b) == is_isomorphic(b, a) == bijective, (pres.name, a.label, b.label)
                 compared += 1
-    assert compared > 100
+    assert compared > 1000 and refused > 100
 
 
 # -- isomorphism ----------------------------------------------------------------
@@ -599,13 +608,13 @@ def test_is_isomorphic_equivalence_on_corpus_atoms(corpus_analyses):
             assert ab == same_size  # simple modules over Z: iso iff same prime
 
 
-def test_is_isomorphic_node_budget():
-    """The iso search tries at most caps.max_hom_search generator images."""
-    planes = []
-    for cap in (1, Caps().max_hom_search):
-        m = build_module(integer_module("m", 2, 2, 2), caps=Caps(max_hom_search=cap))
-        # two planes of F2^3: <(1,0,0),(0,1,0)> and <(0,1,0),(0,0,1)>
-        planes.append([m.submodule_from_mask(sum(1 << x for x in xs)) for xs in ((0, 1, 2, 3), (0, 2, 4, 6))])
-    with pytest.raises(HomSearchCapExceeded, match="iso search exceeded cap 1 for"):
-        is_isomorphic(*planes[0])
-    assert is_isomorphic(*planes[1])
+def test_is_isomorphic_needs_a_cyclic_side():
+    """Two distinct non-cyclic sides are refused; one cyclic side decides."""
+    m = _mod(2, 2, 2)
+    # two planes of F2^3: <(1,0,0),(0,1,0)> and <(1,0,0),(0,0,1)>
+    planes = [m.submodule_from_mask(sum(1 << x for x in xs)) for xs in ((0, 1, 2, 3), (0, 1, 4, 5))]
+    with pytest.raises(ValueError, match=r"neither <\(1,0,0\),\(0,1,0\)> nor <\(1,0,0\),\(0,0,1\)> is cyclic"):
+        is_isomorphic(*planes)
+    assert is_isomorphic(planes[0], planes[0])
+    line = m.cyclic_submodule(1)
+    assert not is_isomorphic(line, planes[0]) and not is_isomorphic(planes[1], line)

@@ -3,6 +3,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,14 @@ def test_import_loads_no_pool_or_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_caps_keys_documented():
+    """The SUMESS_CAPS keys the README lists are the keys caps_from_env reads."""
+    readme = (Path(sumess.__file__).resolve().parents[2] / "README.md").read_text()
+    listed = re.search(r"`SUMESS_CAPS`.*?with keys ((?:`\w+`,?\s*)+)", readme, re.S)
+    assert listed, "README lists no SUMESS_CAPS keys"
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(sumess.errors._CAP_KEYS)
 
 
 # The names the per-layer tracer of the benchmark (bench/tracing.py, `install`)

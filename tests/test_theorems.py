@@ -5,9 +5,10 @@ from sumess import (
     CATALOG_ALL,
     Caps,
     CorpusSpec,
-    HomSearchCapExceeded,
+    LatticeCapExceeded,
     ModuleAnalysis,
     REGISTRY,
+    SubmoduleLattice,
     UnknownTheoremId,
     enumerate_corpus,
     integer_module,
@@ -396,10 +397,21 @@ def test_finiteness_branches(z8z2, corpus_analyses):
 
 
 def test_finiteness_cap_overrun_propagates():
-    """A hom-search cap overrun is a cap-exceeded outcome, not a failed verdict."""
-    az = ModuleAnalysis(integer_module("z2z2", 2, 2), caps=Caps(max_hom_search=1))
-    with pytest.raises(HomSearchCapExceeded):
+    """A cap overrun inside a checker is a cap-exceeded outcome, not a failed verdict."""
+    az = ModuleAnalysis(integer_module("z2z2", 2, 2), caps=Caps(max_lattice=2))
+    with pytest.raises(LatticeCapExceeded, match="lattice exceeds cap 2"):
         REGISTRY["finiteness"](az)
+
+
+def test_finiteness_reads_socle_essentiality_by_quantifier(monkeypatch):
+    """Both the socle_essential side and the non-semisimple branch come from
+    the quantifier route: with it answering False, the verdict fails."""
+    monkeypatch.setattr(SubmoduleLattice, "is_essential_definitional", lambda self, i: False)
+    v = REGISTRY["finiteness"](_az(8, 2))
+    assert not v.passed and v.sides == {"socle_essential": False, "condition_four_branch": False}
+    assert v.witness == "no proper essential submodule found in non-semisimple module"
+    v = REGISTRY["finiteness"](_az(2, 2))
+    assert not v.passed and v.sides == {"socle_essential": False, "condition_four_branch": True}
 
 
 def test_finiteness_isotypic_count_oracle(ring_presentations):
