@@ -4,7 +4,7 @@ Checkers and the CLI go through this object so the lattice, both graphs and
 the isomorphism classes of the atoms are built once per module and shared;
 N(M) is masked from the S(M) built here. The submodule predicates read the
 lattice order's bit-sets. Isomorphism tests and hom counts read the
-annihilator table on each call: the catalog seldom asks for one pair twice.
+annihilator tables on each call: the catalog seldom asks for one pair twice.
 """
 from __future__ import annotations
 
@@ -52,20 +52,16 @@ class ModuleAnalysis:
     def atom_iso_classes(self) -> list[list[int]]:
         """Atoms grouped by isomorphism, each class in canonical order.
 
-        An atom is compared with the first member of each class of its size
-        only: submodules of different sizes are never isomorphic.
+        An isomorphism keeps each element's annihilator, and Rx ≅ R/Ann(x):
+        two simple submodules with one annihilator class in common are
+        isomorphic, so the class sets of two atoms are equal or disjoint.
+        Each atom is keyed by the least class id of its nonzero members.
         """
-        subs = self.lattice.subs
-        classes: list[list[int]] = []
+        cls = self.module.ann_class_ids()
+        classes: dict[int, list[int]] = {}
         for a in self.lattice.atoms:
-            size = subs[a].size
-            for cls in classes:
-                if subs[cls[0]].size == size and self.iso(cls[0], a):
-                    cls.append(a)
-                    break
-            else:
-                classes.append([a])
-        return classes
+            classes.setdefault(int(cls[self.lattice.subs[a].members[1:]].min()), []).append(a)
+        return list(classes.values())
 
     @cached_property
     def n_edge_not_strongly_disjoint(self) -> tuple[int, int] | None:

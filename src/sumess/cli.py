@@ -3,9 +3,9 @@
 Three subcommands: `analyze` one module spec file, `corpus` for batch runs
 over generated module families, `verify` for a single checker on one module.
 
-Exit codes: 0 success/pass, 1 checker failure, 2 usage or parse error (or,
-in a corpus sweep, a library error in some module), 3 resource cap
-exceeded, 4 checker inapplicable (verify only).
+Exit codes: 0 success/pass, 1 checker failure, 2 usage, parse or write
+error (or, in a corpus sweep, a library error in some module), 3 resource
+cap exceeded, 4 checker inapplicable (verify only).
 """
 from __future__ import annotations
 
@@ -186,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand. Library errors become exit codes here alone: a
-    cap overrun 3, any other library or value error 2."""
+    cap overrun 3, any other library or value error or unwritable output 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (SumEssError, ValueError) as exc:
+    except (SumEssError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

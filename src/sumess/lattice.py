@@ -398,13 +398,12 @@ class SubmoduleLattice:
 
     # -- strongly disjoint ----------------------------------------------------
 
-    def _ann_class_set(self, i: int) -> set[int]:
-        cls = self.module.ann_class_ids()
-        return {int(cls[x]) for x in self.subs[i].members if x != 0}
-
     def element_disjoint(self, i: int, j: int) -> bool:
-        """No nonzero element of one has the same annihilator as one of the other."""
-        return not (self._ann_class_set(i) & self._ann_class_set(j))
+        """No nonzero element of one has the same annihilator as one of the
+        other: the class ids of members[1:] (0 is always first) do not meet."""
+        cls = self.module.ann_class_ids()
+        ids = set(cls[self.subs[i].members[1:]].tolist())
+        return ids.isdisjoint(cls[self.subs[j].members[1:]].tolist())
 
     def strongly_disjoint(self, i: int, j: int) -> StronglyDisjointReport:
         # a nonzero submodule of the sum missing both holds an atom missing both

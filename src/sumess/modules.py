@@ -11,9 +11,9 @@ additive span of the identity and all composites of the generator tables,
 enumerated one coset of a new word at a time. It always contains the
 identity and the zero map; for the integer action it is the scalars
 0..exponent-1. It serves the scatter of the cyclic submodules, the
-annihilators and the ring size (endo_count). Maps are asked of cyclic
-submodules only (every simple module is cyclic), and count_homs and
-is_isomorphic read Hom(Rx, N) off the annihilator table.
+annihilator class ids and class order, and the ring size (endo_count).
+Maps are asked of cyclic submodules only (every simple module is cyclic),
+and count_homs and is_isomorphic read Hom(Rx, N) off those two tables.
 
 Elements are addressed by a dense index: index = sum(c_i * stride_i) with
 stride_0 = 1 and stride_i = stride_{i-1} * d_{i-1}, so the first coordinate
@@ -359,21 +359,19 @@ class FiniteModule:
 
     # -- annihilators ------------------------------------------------------
 
-    def ann_mask(self, m) -> int:
-        """Bitmask over endo ids e with e(m) = 0."""
-        ids = self.ann_class_ids()
-        return self._ann[1][ids[self._as_index(m)]]
-
     def annihilator(self, m) -> frozenset[int]:
-        return frozenset(_iter_bits(self.ann_mask(m)))
+        """The endo ids e with e(m) = 0, read off the ring column of m."""
+        return frozenset(np.flatnonzero(self.endos[:, self._as_index(m)] == 0).tolist())
 
     def ann_class_ids(self) -> np.ndarray:
         """Array mapping element index -> annihilator-class id.
 
-        Made on first use, with the mask of each class, by one packbits of
-        the ring's zero tests: column x has the bits, over endo ids, of the
-        endos killing x. The distinct columns are numbered in first-seen
-        order, which is the order of their least element.
+        Made on first use, with ann_order, by one packbits of the ring's
+        zero tests: column x has the bits, over endo ids, of the endos
+        killing x. The distinct columns are numbered in first-seen order,
+        which is the order of their least element. Class a lies below class
+        b when no endo kills the least element of a but not that of b: one
+        product of the zero tests of those elements counts such endos.
         """
         if self._ann is None:
             packed = np.packbits(self.endos == 0, axis=0, bitorder="little")
@@ -381,8 +379,14 @@ class FiniteModule:
             columns = np.ascontiguousarray(packed.T).view(f"S{packed.shape[0]}").ravel().tolist()
             classes: dict[bytes, int] = {}
             ids = np.array([classes.setdefault(c, len(classes)) for c in columns], dtype=np.int32)
-            self._ann = ids, [int.from_bytes(c, "little") for c in classes]
+            kills = (self.endos[:, np.unique(ids, return_index=True)[1]] == 0).astype(np.float64)
+            self._ann = ids, kills.T @ (1 - kills) == 0
         return self._ann[0]
+
+    def ann_order(self) -> np.ndarray:
+        """Bool class x class matrix (ann_class_ids): [a, b] iff Ann(a) ⊆ Ann(b)."""
+        self.ann_class_ids()
+        return self._ann[1]
 
     # -- submodules --------------------------------------------------------
 
@@ -471,8 +475,8 @@ def count_homs(dom: Submodule, cod: Submodule) -> int:
     x = _cyclic_generator(dom)
     if x is None:
         raise ValueError(f"count_homs needs a cyclic domain, {dom.label} is not cyclic")
-    ann_x = module.ann_mask(x)
-    return sum(1 for y in cod.members.tolist() if ann_x & ~module.ann_mask(y) == 0)
+    cls = module.ann_class_ids()
+    return int(module.ann_order()[cls[x], cls[cod.members]].sum())
 
 
 def is_isomorphic(a: Submodule, b: Submodule) -> bool:

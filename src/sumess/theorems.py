@@ -98,22 +98,14 @@ def _unique_semisimple_complement(az: ModuleAnalysis, u: int) -> bool:
 
 def _elementwise_separation(az: ModuleAnalysis, u: int) -> bool:
     """For every simple F not below U and nonzero f in F, u' in U, some action
-    element kills u' but not f. Annihilator containment ann(u') <= ann(f) is
-    exactly the failure of that, so the check runs over annihilator classes."""
+    element kills u' but not f. It fails iff ann(u') <= ann(f) for some such
+    f and u': f's class lies above one of U's in the annihilator order."""
     mod, lat = az.module, az.lattice
-    mu = lat.subs[u].mask
-    u_anns = {mod.ann_mask(int(x)) for x in lat.subs[u].members if x != 0}
+    cls, order = mod.ann_class_ids(), mod.ann_order()
+    above = set(order[cls[lat.subs[u].members[1:]]].any(axis=0).nonzero()[0].tolist())
     for f_id in lat.atoms:
-        mf = lat.subs[f_id].mask
-        if mf & mu == mf:
-            continue
-        for f in lat.subs[f_id].members:
-            if f == 0:
-                continue
-            ann_f = mod.ann_mask(int(f))
-            for ann_u in u_anns:
-                if ann_u & ~ann_f == 0:
-                    return False
+        if not lat.leq(f_id, u) and not above.isdisjoint(cls[lat.subs[f_id].members[1:]].tolist()):
+            return False
     return True
 
 

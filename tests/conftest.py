@@ -24,6 +24,12 @@ def corpus_analyses():
 
 
 @pytest.fixture(scope="session")
+def ring_analyses(ring_presentations):
+    """Analyses for the nine generated families, built once per session."""
+    return [ModuleAnalysis(pres) for pres, _ in ring_presentations]
+
+
+@pytest.fixture(scope="session")
 def z8z2():
     return ModuleAnalysis(integer_module("z8z2", 8, 2))
 

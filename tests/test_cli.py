@@ -82,6 +82,15 @@ def test_analyze_missing_file(tmp_path, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_analyze_unwritable_report(z8z2_spec, tmp_path, capsys):
+    """An output path that cannot be written is exit 2 with a one-line
+    message, not a traceback (exit 1 means a checker failed)."""
+    report = tmp_path / "missing" / "r.json"
+    assert main(["analyze", z8z2_spec, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert str(report) in err and len(err.splitlines()) == 1
+
+
 def test_analyze_cap_exceeded_env(z8z2_spec, capsys, monkeypatch):
     monkeypatch.setenv("SUMESS_CAPS", "elements=8")
     assert main(["analyze", z8z2_spec]) == 3
@@ -170,6 +179,22 @@ def test_corpus_unknown_check_id(tmp_path, capsys):
         )
         == 2
     )
+
+
+def test_corpus_unwritable_csv(tmp_path, capsys):
+    out_csv = tmp_path / "missing" / "c.csv"
+    assert main(["corpus", "--max-order", "4", "--out", str(out_csv)]) == 2
+    err = capsys.readouterr().err
+    assert str(out_csv) in err and len(err.splitlines()) == 1
+
+
+def test_corpus_dot_dir_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    args = ["corpus", "--max-order", "4", "--out", str(tmp_path / "c.csv"), "--dot-dir", str(taken)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert str(taken) in err and len(err.splitlines()) == 1
 
 
 def test_corpus_cap_exit(tmp_path, capsys, monkeypatch):

@@ -109,7 +109,7 @@ def test_element_index_out_of_range():
         with pytest.raises(ValueError, match="outside"):
             m.decode(bad)
         with pytest.raises(ValueError, match="outside"):
-            m.ann_mask(bad)
+            m.annihilator(bad)
         with pytest.raises(ValueError, match="outside"):
             m.cyclic_mask(bad)
     assert m.cyclic_submodule(7).mask == m.cyclic_mask(7)
@@ -302,16 +302,21 @@ def test_annihilator_size_integer_action():
             assert len(m.annihilator(x)) * order == e
 
 
+def _ring_ann_masks(m) -> list[int]:
+    """Each element's annihilator as a mask over endo ids, read off its ring column."""
+    return [_mask_from_bits(m.endos[:, x] == 0) for x in range(m.n)]
+
+
 def test_ann_classes_partition_elements():
     m = _mod(8, 2)
     cls = m.ann_class_ids()
+    masks = _ring_ann_masks(m)
     for x in range(m.n):
         for y in range(m.n):
-            same = m.ann_mask(x) == m.ann_mask(y)
-            assert (cls[x] == cls[y]) == same
+            assert (cls[x] == cls[y]) == (masks[x] == masks[y])
     # classes are numbered in the order of their least element
     first: dict[int, int] = {}
-    assert cls.tolist() == [first.setdefault(m.ann_mask(x), len(first)) for x in range(m.n)]
+    assert cls.tolist() == [first.setdefault(masks[x], len(first)) for x in range(m.n)]
 
 
 def _unique_rank_classes(m):
@@ -331,17 +336,23 @@ def _ring_modules(corpus_analyses, ring_presentations):
 
 
 def test_annihilator_table_matches_per_element_columns(corpus_analyses, ring_presentations):
-    """ann_class_ids, ann_mask and annihilator against the np.unique rank
-    numbering and one packbits per element column, on the default corpus
-    and the nine generated families."""
+    """ann_class_ids against the np.unique rank numbering, annihilator
+    against each element's ring column, and ann_order against containment
+    of those columns, on the default corpus and the nine generated
+    families."""
     for m in _ring_modules(corpus_analyses, ring_presentations):
         name = m.presentation.name
         cls = m.ann_class_ids()
         assert cls.dtype == np.int32 and cls.tolist() == _unique_rank_classes(m).tolist(), name
         for x in range(m.n):
             column = m.endos[:, x] == 0
-            assert m.ann_mask(x) == _mask_from_bits(column), (name, x)
             assert m.annihilator(x) == frozenset(np.flatnonzero(column).tolist()), (name, x)
+        # the mask of each class, from the ring column of its least element
+        masks = _ring_ann_masks(m)
+        first = {c: masks[x] for x, c in reversed(list(enumerate(cls.tolist())))}
+        want = [[first[a] & ~first[b] == 0 for b in range(len(first))] for a in range(len(first))]
+        order = m.ann_order()
+        assert order.dtype == bool and order.tolist() == want, name
 
 
 def _restart_loop_gens(mask, zero, step, mask_of):
@@ -465,6 +476,7 @@ def test_count_homs_annihilator_oracle(z12):
     """Cyclic source: images are exactly the elements killed by ann(generator)."""
     m = z12.module
     lat = z12.lattice
+    masks = _ring_ann_masks(m)
     for i in range(lat.count):
         a = lat.subs[i]
         gens = a.gens
@@ -473,11 +485,7 @@ def test_count_homs_annihilator_oracle(z12):
         g = gens[0]
         for j in range(lat.count):
             b = lat.subs[j]
-            ok = sum(
-                1
-                for y in b.members
-                if m.ann_mask(g) & ~m.ann_mask(int(y)) == 0
-            )
+            ok = sum(1 for y in b.members.tolist() if masks[g] & ~masks[y] == 0)
             assert count_homs(a, b) == ok
 
 
@@ -606,6 +614,28 @@ def test_is_isomorphic_equivalence_on_corpus_atoms(corpus_analyses):
             assert ab == ba
             same_size = lat.subs[a].size == lat.subs[b].size
             assert ab == same_size  # simple modules over Z: iso iff same prime
+
+
+def test_atom_iso_classes_match_pairwise_is_isomorphic(corpus_analyses, ring_analyses):
+    """atom_iso_classes, keyed by annihilator class with no isomorphism test,
+    against is_isomorphic on every pair of atoms of the default corpus and
+    the nine generated families: two atoms share a class iff they are
+    isomorphic, and the classes come in canonical order of their first
+    atom, each in canonical order."""
+    pairs = 0
+    for az in [*corpus_analyses.values(), *ring_analyses]:
+        subs, atoms = az.lattice.subs, az.lattice.atoms
+        classes = az.atom_iso_classes
+        assert sorted(sum(classes, [])) == sorted(atoms)
+        firsts = [c[0] for c in classes]
+        assert all(c == sorted(c) for c in classes) and firsts == sorted(firsts)
+        class_of = {a: k for k, c in enumerate(classes) for a in c}
+        name = az.module.presentation.name
+        for a in atoms:
+            for b in atoms:
+                assert (class_of[a] == class_of[b]) == is_isomorphic(subs[a], subs[b]), (name, a, b)
+                pairs += 1
+    assert pairs > 1000
 
 
 def test_is_isomorphic_needs_a_cyclic_side():

@@ -26,6 +26,20 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_ring_read_in_modules_only():
+    """Only modules.py reads the action ring (`endos`) and the annihilator
+    table (`_ann`): every other layer asks FiniteModule's methods, so a
+    route that builds no ring has one file to change."""
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in SOURCES
+        if path.name != "modules.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("endos", "_ann")
+    ]
+    assert not found, found
+
+
 def test_import_loads_no_pool_or_cli():
     """A fresh `import sumess` leaves the process pool and the CLI unloaded:
     run_corpus imports the pool only for jobs > 1, and every process that

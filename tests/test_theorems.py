@@ -11,10 +11,12 @@ from sumess import (
     SubmoduleLattice,
     UnknownTheoremId,
     enumerate_corpus,
+    generated_module,
     integer_module,
     is_isomorphic,
     run_catalog,
 )
+from sumess.modules import _mask_from_bits
 from sumess.theorems import (
     _COMPLETE_PARTS,
     _DEG1_INTERACTIONS_PARTS,
@@ -22,6 +24,7 @@ from sumess.theorems import (
     _TRIANGLEFREE_PARTS,
     _asserted,
     _composite,
+    _elementwise_separation,
     _equivalent,
     _inapplicable,
 )
@@ -267,14 +270,12 @@ def _semisimple_by_join_fold(az, i):
     return acc == i
 
 
-def test_analysis_predicates_match_scans(corpus_analyses, ring_presentations):
+def test_analysis_predicates_match_scans(corpus_analyses, ring_analyses):
     """has_isomorphic_twin, which asks the atoms only, against a scan of every
     submodule; sub_is_semisimple, which reads containment in the socle,
     against the join of the atoms below; for every id of the default corpus
     and the nine generated families."""
-    analyses = list(corpus_analyses.values())
-    analyses += [ModuleAnalysis(pres) for pres, _ in ring_presentations]
-    for az in analyses:
+    for az in [*corpus_analyses.values(), *ring_analyses]:
         lat = az.lattice
         name = lat.module.presentation.name
         for i in range(lat.count):
@@ -284,6 +285,51 @@ def test_analysis_predicates_match_scans(corpus_analyses, ring_presentations):
             else:
                 with pytest.raises(ValueError):
                     az.has_isomorphic_twin(i)
+
+
+def _separation_by_triple_loop(az, u, masks) -> bool:
+    """thm-2.13's elementwise separation by the triple loop: over each atom F
+    not below U, each nonzero f in F and each annihilator of a nonzero member
+    of U, fail when ann(u') <= ann(f). masks[x] is the annihilator of x over
+    endo ids."""
+    lat = az.lattice
+    mu = lat.subs[u].mask
+    u_anns = {masks[x] for x in lat.subs[u].members.tolist() if x != 0}
+    for f_id in lat.atoms:
+        mf = lat.subs[f_id].mask
+        if mf & mu == mf:
+            continue
+        for f in lat.subs[f_id].members.tolist():
+            if f != 0 and any(ann_u & ~masks[f] == 0 for ann_u in u_anns):
+                return False
+    return True
+
+
+# T2(F2) on P + S2: P = F2^2 the columns, uniserial with top S2, the simple
+# module on which an upper triangular matrix acts by its (2,2) entry. The
+# generator of P has an annihilator inside that of S2, not the other way
+# round, so this module tells the two directions of containment apart.
+T2F2_P_S2 = generated_module(
+    "t2f2_p_s2",
+    (2, 2, 2),
+    [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 1]]],
+)
+
+
+def test_elementwise_separation_matches_triple_loop(corpus_analyses, ring_analyses):
+    """_elementwise_separation, which reads the annihilator order between
+    classes, against the triple loop over annihilators read off the ring
+    columns, on every N(M) vertex of the default corpus, the nine generated
+    families and T2(F2) on P + S2."""
+    seen = {True: 0, False: 0}
+    for az in [*corpus_analyses.values(), *ring_analyses, ModuleAnalysis(T2F2_P_S2)]:
+        mod = az.module
+        masks = [_mask_from_bits(mod.endos[:, x] == 0) for x in range(mod.n)]
+        for u in az.n_graph.vertex_ids:
+            want = _separation_by_triple_loop(az, u, masks)
+            assert _elementwise_separation(az, u) == want, (mod.presentation.name, u)
+            seen[want] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_thm_2_13_star_module(z8z3):
