@@ -2,9 +2,10 @@
 
 Checkers and the CLI go through this object so the lattice, both graphs and
 the isomorphism classes of the atoms are built once per module and shared;
-N(M) is masked from the S(M) built here. The submodule predicates read the
-lattice order's bit-sets. Isomorphism tests and hom counts read the
-annihilator tables on each call: the catalog seldom asks for one pair twice.
+the S(M) built here holds the module's one row store, which N(M) reads
+through its own vertex mask. The submodule predicates read the lattice
+order's bit-sets. Isomorphism tests and hom counts read the annihilator
+tables on each call: the catalog seldom asks for one pair twice.
 """
 from __future__ import annotations
 

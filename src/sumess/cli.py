@@ -10,6 +10,7 @@ cap exceeded, 4 checker inapplicable (verify only).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import ModuleAnalysis
@@ -88,6 +89,11 @@ def cmd_corpus(args) -> int:
         extra_spec_files=tuple(args.extra),
         theorem_ids=check,
     )
+    # an unwritable CSV fails before any module runs; the probe makes no file
+    existed = os.path.exists(args.out)
+    open(args.out, "a").close()
+    if not existed:
+        os.remove(args.out)
     result = run_corpus(cspec, caps=caps, jobs=args.jobs, dot_dir=args.dot_dir)
     write_csv(result.rows, args.out)
     # the checker rows: error and cap-exceeded rows are reported on their own

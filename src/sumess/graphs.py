@@ -5,22 +5,19 @@ Two distinct vertices are adjacent exactly when their sum is an essential
 submodule. The full graph takes all nontrivial submodules; the proper variant
 keeps only the non-essential ones.
 
-Adjacency is stored as one bitmask int per lattice id, over lattice ids (0
-for non-vertices), so graph and lattice share one index space. The rows of
-S(M) are built from the lattice's up- and down-sets, with no vertex-pair
-table. Adjacency is monotone in the submodule order: if u <= u' are
-vertices, u ~ v and v != u', then u' ~ v, since u' + v contains the
-essential u + v. Balls therefore grow through the rows of the maximal
-vertices alone, and eccentricity falls as a vertex grows, so the diameter is
-the largest eccentricity of an atom: ball walks start from the atoms only.
+Adjacency is one store per module, built for S(M) from the lattice's up-
+and down-sets with no vertex-pair table: a bitmask int per lattice id, over
+lattice ids, so graph and lattice share one index space. N(M), the subgraph
+of S(M) induced on the non-essential vertices, reads S(M)'s store and holds
+no rows. Every row is read through EssGraph.row, the stored row masked to
+the graph's own vertices (0 for a non-vertex), and counted once through it,
+at build time, into the list deg that every degree reader reads.
 
-N(M) is the subgraph of S(M) induced on the non-essential vertices, so the
-rows of N(M) are always the rows of S(M) masked to the N vertices; when
-V(N) = V(S) (M semisimple) N(M) shares S(M)'s row and degree lists.
-
-Each row is counted once, when the graph is built, into the list deg over
-lattice ids; every degree reader (degrees, edge count, regularity, universal
-vertices, the report) reads that list.
+Adjacency is monotone in the submodule order: if u <= u' are vertices,
+u ~ v and v != u', then u' ~ v, since u' + v contains the essential u + v.
+Balls therefore grow through the rows of the maximal vertices alone, and
+eccentricity falls as a vertex grows, so the diameter is the largest
+eccentricity of an atom: ball walks start from the atoms only.
 
 DOT is written to a binary handle a block of rows at a time, at most
 _CHUNK_BYTES unpacked bytes of adjacency per block (write_dot), so it holds
@@ -51,16 +48,13 @@ _CHUNK_BYTES = 2**16
 
 class EssGraph:
     def __init__(self, lattice: SubmoduleLattice, kind: str, s_graph: EssGraph | None = None):
-        """The graph S(M) (kind "s") or N(M) (kind "n") on the lattice.
-
-        N(M) is the subgraph of S(M) induced on the non-essential vertices,
-        so its rows are the rows of s_graph, the S(M) of the same lattice,
-        masked to the N vertices; kind "n" needs s_graph. When the two
-        vertex sets are equal, which holds exactly for a semisimple module,
-        N(M) holds S(M)'s own rows and deg lists.
-        """
+        """The graph S(M) (kind "s"), which builds the module's row store, or
+        N(M) (kind "n"), which reads the store of s_graph, the S(M) of the
+        same lattice, through its own vertex mask."""
         if kind not in ("s", "n"):
             raise ValueError("kind must be 's' or 'n'")
+        if kind == "n" and (s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s"):
+            raise ValueError("s_graph must be the S graph of the same lattice")
         self.lattice = lattice
         self.kind = kind
         bits = lattice.down[lattice.full_id] & ~(1 << lattice.full_id | 1 << lattice.zero_id)
@@ -76,25 +70,27 @@ class EssGraph:
         self._diameter: float | None = None
         self._girth: float | None = None
 
-        self.rows = [0] * lattice.count
-        if kind == "s":
-            for lid in self.vertex_ids:
-                self.rows[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
-        elif s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s":
-            raise ValueError("s_graph must be the S graph of the same lattice")
-        elif bits == s_graph.vertex_bits:
-            # no essential vertex: N(M) is S(M)
-            self.rows, self.deg = s_graph.rows, s_graph.deg
-            return
+        if kind == "n":
+            self._store = s_graph._store
         else:
+            self._store = [0] * lattice.count
             for lid in self.vertex_ids:
-                self.rows[lid] = s_graph.rows[lid] & bits
-        self.deg = list(map(int.bit_count, self.rows))
+                self._store[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
+        self.deg = [self.row(lid).bit_count() for lid in range(lattice.count)]
 
     # -- basics ---------------------------------------------------------------
 
     def has_vertex(self, lid: int) -> bool:
         return bool(self.vertex_bits >> lid & 1)
+
+    def row(self, lid: int) -> int:
+        """Neighbours of lid as a bit-int over lattice ids, 0 for a non-vertex."""
+        return self._store[lid] & self.vertex_bits if self.vertex_bits >> lid & 1 else 0
+
+    @property
+    def rows(self) -> list[int]:
+        """Every row(lid), in lattice-id order, built anew on each read."""
+        return [self.row(lid) for lid in range(self.lattice.count)]
 
     def degree(self, lid: int) -> int:
         return self.deg[lid]
@@ -103,17 +99,17 @@ class EssGraph:
         return {lid: self.deg[lid] for lid in self.vertex_ids}
 
     def neighbors(self, lid: int) -> list[int]:
-        return list(_iter_bits(self.rows[lid]))
+        return list(_iter_bits(self.row(lid)))
 
     def adjacent(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
+        return bool(self.row(a) >> b & 1)
 
     def n_edges(self) -> int:
         return sum(self.deg) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for a in self.vertex_ids:
-            for b in _iter_bits(self.rows[a] >> (a + 1)):
+            for b in _iter_bits(self.row(a) >> (a + 1)):
                 yield (a, a + 1 + b)
 
     # -- traversal metrics ------------------------------------------------------
@@ -126,12 +122,12 @@ class EssGraph:
         a neighbor of m. So ORing in the rows of the maximal vertices
         inside a ball widens it by one.
         """
-        ball = 1 << lid | self.rows[lid]
+        ball = 1 << lid | self.row(lid)
         while True:
             yield ball
             grown = ball
             for top in _iter_bits(ball & self._top_bits):
-                grown |= self.rows[top]
+                grown |= self.row(top)
             if grown == ball:
                 return
             ball = grown
@@ -184,10 +180,10 @@ class EssGraph:
     def triangle(self) -> tuple[int, int, int] | None:
         """Some triangle as lattice ids, or None."""
         for a in self.vertex_ids:
-            ra = self.rows[a]
+            ra = self.row(a)
             for q in _iter_bits(ra >> (a + 1)):
                 b = a + 1 + q
-                common = ra & self.rows[b]
+                common = ra & self.row(b)
                 if common:
                     return (a, b, next(_iter_bits(common)))
         return None
@@ -208,8 +204,9 @@ class EssGraph:
         # no triangles: a 4-cycle exists iff some pair shares two neighbors
         ids = self.vertex_ids
         for i, a in enumerate(ids):
+            ra = self.row(a)
             for b in ids[i + 1 :]:
-                if (self.rows[a] & self.rows[b]).bit_count() >= 2:
+                if (ra & self.row(b)).bit_count() >= 2:
                     return 4
         # sparse leftover: per-edge shortest alternative path
         best = INF
@@ -226,7 +223,7 @@ class EssGraph:
         while frontier:
             nxt = 0
             for p in _iter_bits(frontier):
-                r = self.rows[p]
+                r = self.row(p)
                 if p == a:
                     r &= ~(1 << b)
                 nxt |= r
@@ -270,13 +267,13 @@ class EssGraph:
 
     def is_clique(self, lids: Iterable[int]) -> bool:
         lids = list(lids)
-        return all(self.rows[a] >> b & 1 for i, a in enumerate(lids) for b in lids[i + 1 :])
+        return all(self.row(a) >> b & 1 for i, a in enumerate(lids) for b in lids[i + 1 :])
 
     def is_independent_set(self, lids: Iterable[int]) -> bool:
         group = 0
         for lid in lids:
             group |= 1 << lid
-        return not any(self.rows[lid] & group for lid in _iter_bits(group))
+        return not any(self.row(lid) & group for lid in _iter_bits(group))
 
     def complement_components(self) -> list[list[int]]:
         """Vertex classes of the complement graph, as lattice-id lists."""
@@ -291,7 +288,7 @@ class EssGraph:
             while frontier:
                 nxt = 0
                 for q in _iter_bits(frontier):
-                    nxt |= self.vertex_bits & ~self.rows[q]
+                    nxt |= self.vertex_bits & ~self.row(q)
                 nxt &= ~seen
                 group |= nxt
                 seen |= nxt
@@ -350,7 +347,7 @@ class EssGraph:
         count = self.lattice.count
         nbytes = (count + 7) // 8
         names = np.array([b"v%d" % lid for lid in range(count)], dtype=object)
-        rows, ids = self.rows, self.vertex_ids
+        row, ids = self.row, self.vertex_ids
         block = max(1, _CHUNK_BYTES // count)
         fh.write(b"graph %s {\n" % _quoted(gname))
         for lo in range(0, len(ids), block):
@@ -358,7 +355,7 @@ class EssGraph:
             fh.write(b"".join([b"  v%d [label=%s];\n" % (a, _quoted(subs[a].label)) for a in part]))
         for lo in range(0, len(ids), block):
             part = ids[lo : lo + block]
-            raw = b"".join([(rows[a] >> (a + 1) << (a + 1)).to_bytes(nbytes, "little") for a in part])
+            raw = b"".join([(row(a) >> (a + 1) << (a + 1)).to_bytes(nbytes, "little") for a in part])
             bits = np.unpackbits(
                 np.frombuffer(raw, dtype=np.uint8).reshape(len(part), nbytes),
                 axis=1,
@@ -491,7 +488,7 @@ def sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
 def proper_sum_essential_graph(
     lattice: SubmoduleLattice, s_graph: EssGraph | None = None
 ) -> EssGraph:
-    """N(M), masked from s_graph, or from a new S(M) when none is given."""
+    """N(M) on the row store of s_graph, or of a new S(M) when none is given."""
     if s_graph is None:
         s_graph = EssGraph(lattice, "s")
     return EssGraph(lattice, "n", s_graph)

@@ -115,7 +115,7 @@ def _meets_imply_socle(az: ModuleAnalysis, u: int, meeting: int) -> bool:
     U is a vertex of N(M) and meeting is lattice.meeting(u): the E that fail
     are the neighbours of U meeting it.
     """
-    return not (meeting & az.n_graph.rows[u])
+    return not (meeting & az.n_graph.row(u))
 
 
 def _disjoints_inside_socle(az: ModuleAnalysis, meeting: int) -> bool:
@@ -132,17 +132,12 @@ def _socle_meet_unique_complement(az: ModuleAnalysis, u: int) -> bool:
 
 
 def _atom_pair(az: ModuleAnalysis, top: int) -> tuple[int, int] | None:
-    """The first two simple submodules summing to subs[top], or None.
-
-    Distinct simples meet in zero, so such a sum is direct.
-    """
+    """Two simple submodules summing to subs[top], or None. Such a sum is
+    direct, so subs[top] has length 2 and any two of its atoms sum to it:
+    the first two atoms below top are the pair when their join is top."""
     lat = az.lattice
-    atoms = lat.atoms_below(top)
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1 :]:
-            if lat.join(a, b) == top:
-                return a, b
-    return None
+    pair = lat.atoms_below(top)[:2]
+    return tuple(pair) if len(pair) == 2 and lat.join(*pair) == top else None
 
 
 def _simple_nonessentials_two_simple_socle(az: ModuleAnalysis) -> bool:
@@ -484,19 +479,17 @@ def _universal_simple(az: ModuleAnalysis) -> TheoremVerdict:
 def check_semisimple_equalities(az: ModuleAnalysis) -> TheoremVerdict:
     """Semisimplicity <=> S(M) equals N(M) <=> some vertex has equal degrees.
 
-    N(M) shares S(M)'s rows and degree lists exactly when V(N) = V(S), so
-    with that shared storage both graph sides hold by identity exactly
-    then. Their non-trivial direction, that a module with V(N) != V(S)
-    has unequal graphs and no vertex of equal degrees, is still decided on
-    distinct rows in every non-semisimple module.
+    N(M) reads S(M)'s one row store through its own vertex mask: it is the
+    subgraph of S(M) induced on V(N). So the graphs are equal exactly when
+    the vertex sets and the degree lists each graph counts are equal.
     """
     tid = "prop-semisimple"
     if az.is_simple_module:
         return _inapplicable(tid, "module is simple, no vertices")
     lat, s, n = az.lattice, az.s_graph, az.n_graph
-    # both graphs index their rows by lattice id, so equal vertex sets and
-    # equal rows are equal graphs
-    graphs_equal = s.vertex_bits == n.vertex_bits and s.rows == n.rows
+    # both graphs index their degrees by lattice id; an induced subgraph on
+    # the same vertices with the same degrees has every edge
+    graphs_equal = s.vertex_bits == n.vertex_bits and s.deg == n.deg
     shared = any(s.degree(x) == n.degree(x) for x in n.vertex_ids)
     sides = {
         "is_semisimple": lat.is_semisimple(),
@@ -736,9 +729,10 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
     """Finiteness characterization: the two substantive branches of (4).
 
     A semisimple module has as many submodules as its isotypic components
-    predict; a non-semisimple one has a proper essential socle. Essentiality
-    is read by quantifier (is_essential_definitional): the order's fast path
-    tests whether the socle lies below the socle, which is always true.
+    predict; a non-semisimple one has a proper essential socle, read from
+    the order: the atoms' up-sets (lattice.meeting) cover every nonzero id.
+    socle_essential reads it by quantifier (is_essential_definitional); the
+    fast path is_essential would test the socle against itself.
     """
     tid = "finiteness"
     lat = az.lattice
@@ -750,7 +744,8 @@ def check_finiteness_conditions(az: ModuleAnalysis) -> TheoremVerdict:
         if not branch:
             witness = f"{lat.count} submodules, isotypic count predicts {predicted}"
     else:
-        branch = socle_essential
+        nonzero = lat.down[lat.full_id] & ~(1 << lat.zero_id)
+        branch = not (nonzero & ~lat.meeting(lat.socle_id))
         if not branch:
             witness = "no proper essential submodule found in non-semisimple module"
     sides = {

@@ -181,11 +181,20 @@ def test_corpus_unknown_check_id(tmp_path, capsys):
     )
 
 
-def test_corpus_unwritable_csv(tmp_path, capsys):
+def test_corpus_unwritable_csv(tmp_path, capsys, monkeypatch):
+    """An unwritable --out fails before any module runs."""
+    ran = []
+
+    def run_item(task):
+        ran.append(task[0].name)
+        return []
+
+    monkeypatch.setattr(sumess.corpus, "_run_item", run_item)
     out_csv = tmp_path / "missing" / "c.csv"
     assert main(["corpus", "--max-order", "4", "--out", str(out_csv)]) == 2
     err = capsys.readouterr().err
     assert str(out_csv) in err and len(err.splitlines()) == 1
+    assert not ran
 
 
 def test_corpus_dot_dir_is_a_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -179,24 +180,39 @@ def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentatio
         proper_sum_essential_graph(az.lattice, az.n_graph)
 
 
-def test_n_shares_s_rows_exactly_when_semisimple(corpus_analyses):
-    """N(M) holds S(M)'s own row and degree lists when V(N) = V(S), which is
-    exactly when M is semisimple; otherwise its rows are S's rows masked to
-    the N vertices, in lists of its own."""
-    kinds = set()
+def test_row_is_zero_off_the_vertices(corpus_analyses):
+    """row(v) is S(M)'s stored row masked to the graph's own vertices: 0 for
+    every non-vertex (the essential ids in N), rows[v] everywhere, and in N
+    S's row without the essential ids."""
     for name, az in corpus_analyses.items():
         lat, s, n = az.lattice, az.s_graph, az.n_graph
-        semisimple = lat.is_semisimple()
-        kinds.add(semisimple)
-        assert (n.vertex_bits == s.vertex_bits) == semisimple, name
-        if semisimple:
-            assert n.rows is s.rows and n.deg is s.deg, name
-            continue
-        assert n.rows is not s.rows and n.deg is not s.deg, name
-        want = [s.rows[v] & n.vertex_bits if n.has_vertex(v) else 0 for v in range(lat.count)]
-        assert n.rows == want, name
-        assert n.deg == [row.bit_count() for row in want], name
-    assert kinds == {True, False}
+        s_rows, n_rows = s.rows, n.rows
+        for g, rows in ((s, s_rows), (n, n_rows)):
+            for v in range(lat.count):
+                assert g.row(v) == rows[v], (name, g.kind, v)
+                if not g.has_vertex(v):
+                    assert g.row(v) == 0, (name, g.kind, v)
+        for v in n.vertex_ids:
+            assert n.row(v) == s.row(v) & n.vertex_bits, (name, v)
+        assert n.deg == [row.bit_count() for row in n_rows], name
+
+
+def test_n_build_holds_no_rows():
+    """N(M) of Z4 x Z2^4 (L = 681) built after S(M) reads S's row store and
+    copies none of it. Its build may hold per lattice id a slot of its
+    vertex tuple and of its degree list, each with an int (72 bytes); past
+    that, its traced peak stays under a tenth of S's row bytes."""
+    lat = enumerate_lattice(build_module(integer_module("z4z2^4", 4, 2, 2, 2, 2)))
+    s = sum_essential_graph(lat)
+    row_bytes = sum(map(sys.getsizeof, s.rows))
+    tracemalloc.start()
+    try:
+        n = proper_sum_essential_graph(lat, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n.n_vertices == lat.count - 3
+    assert peak < row_bytes / 10 + 72 * lat.count, (peak, row_bytes)
 
 
 def test_invariants_match_networkx(corpus_analyses):
@@ -295,7 +311,7 @@ def _bfs_eccentricities(g):
             level = 0
             for u in g.vertex_ids:
                 if frontier >> u & 1:
-                    level |= g.rows[u]
+                    level |= g.row(u)
             level &= ~seen
             if not level:
                 break

@@ -40,6 +40,21 @@ def test_ring_read_in_modules_only():
     assert not found, found
 
 
+def test_row_store_read_through_row():
+    """S(M)'s row store (`_store`) is touched only in EssGraph.__init__,
+    which builds it or takes S's, and in EssGraph.row: every other row read
+    goes through row, so N(M) sees only its own vertices."""
+    found = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "_store"
+    }
+    assert found == {("graphs.py", "__init__"), ("graphs.py", "row")}, found
+
+
 def test_import_loads_no_pool_or_cli():
     """A fresh `import sumess` leaves the process pool and the CLI unloaded:
     run_corpus imports the pool only for jobs > 1, and every process that
@@ -142,9 +157,15 @@ TRACED_SWEEP = """
 import json, sumess, tracing
 tracer = tracing.Tracer()
 tracing.install(tracer)
+edges = []
+traced_init = sumess.graphs.EssGraph.__init__
+def init(self, *args, **kwargs):
+    traced_init(self, *args, **kwargs)
+    edges.append(self.n_edges())
+sumess.graphs.EssGraph.__init__ = init
 result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8))
 metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
-print(json.dumps({"rows": len(result.rows), "metrics": metrics}))
+print(json.dumps({"rows": len(result.rows), "edges": sum(edges), "metrics": metrics}))
 """
 
 
@@ -165,6 +186,8 @@ def test_bench_tracer_runs_on_package():
     out = json.loads(proc.stdout)
     metrics = out["metrics"]
     assert out["rows"] and metrics["corpus.rows"] == out["rows"]
+    # the hook counts edges from the rows property; the graphs from deg
+    assert metrics["graphs.edges"] == out["edges"]
     for name in (
         "modules.action_ring_elems",
         "lattice.submodules",

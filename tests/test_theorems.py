@@ -23,6 +23,7 @@ from sumess.theorems import (
     _DEG1_S_PARTS,
     _TRIANGLEFREE_PARTS,
     _asserted,
+    _atom_pair,
     _composite,
     _elementwise_separation,
     _equivalent,
@@ -450,14 +451,32 @@ def test_finiteness_cap_overrun_propagates():
 
 
 def test_finiteness_reads_socle_essentiality_by_quantifier(monkeypatch):
-    """Both the socle_essential side and the non-semisimple branch come from
-    the quantifier route: with it answering False, the verdict fails."""
+    """The socle_essential side comes from the quantifier route alone: with
+    it answering False, the verdict fails on both branches, whose own route
+    still holds."""
     monkeypatch.setattr(SubmoduleLattice, "is_essential_definitional", lambda self, i: False)
     v = REGISTRY["finiteness"](_az(8, 2))
-    assert not v.passed and v.sides == {"socle_essential": False, "condition_four_branch": False}
-    assert v.witness == "no proper essential submodule found in non-semisimple module"
+    assert not v.passed and v.sides == {"socle_essential": False, "condition_four_branch": True}
     v = REGISTRY["finiteness"](_az(2, 2))
     assert not v.passed and v.sides == {"socle_essential": False, "condition_four_branch": True}
+
+
+def test_finiteness_branch_reads_the_atoms_up_sets(monkeypatch):
+    """On a non-semisimple module the branch is read from the order: the
+    up-sets of the atoms below the socle must cover every nonzero id. A
+    meeting that drops one atom's up-set fails the verdict."""
+
+    def dropping(self, i):
+        out = 0
+        for a in self.atoms_below(i)[1:]:
+            out |= self.up[a]
+        return out
+
+    monkeypatch.setattr(SubmoduleLattice, "meeting", dropping)
+    for az in (_az(8, 2), _az(4)):
+        v = REGISTRY["finiteness"](az)
+        assert not v.passed and v.sides == {"socle_essential": True, "condition_four_branch": False}
+        assert v.witness == "no proper essential submodule found in non-semisimple module"
 
 
 def test_finiteness_isotypic_count_oracle(ring_presentations):
@@ -487,6 +506,30 @@ def test_finiteness_count_mutants_fail(monkeypatch):
     monkeypatch.setattr(az.lattice, "count", az.lattice.count + 1)
     v = REGISTRY["finiteness"](az)
     assert not v.passed and v.witness == "7 submodules, isotypic count predicts 6"
+
+
+def _atom_pair_by_scan(lat, top):
+    """The first pair of atoms below top, in id order, whose join is top."""
+    atoms = lat.atoms_below(top)
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1 :]:
+            if lat.join(a, b) == top:
+                return a, b
+    return None
+
+
+def test_atom_pair_matches_pairwise_scan(corpus_analyses, ring_analyses):
+    """_atom_pair takes the first two atoms below an id, against a scan of
+    every pair of atoms, on every id of the default corpus and the nine
+    generated families."""
+    found = 0
+    for az in list(corpus_analyses.values()) + list(ring_analyses):
+        lat = az.lattice
+        for top in range(lat.count):
+            want = _atom_pair_by_scan(lat, top)
+            assert _atom_pair(az, top) == want, (lat.module.presentation.name, top)
+            found += want is not None
+    assert found
 
 
 def test_gates(z8z2, z4z9, z8z3):
