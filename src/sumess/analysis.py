@@ -2,8 +2,8 @@
 
 Checkers and the CLI go through this object so the lattice, both graphs and
 the isomorphism classes of the atoms are built once per module and shared;
-the S(M) built here holds the module's one row store, which N(M) reads
-through its own vertex mask. The submodule predicates read the lattice
+S(M) and N(M) each read the lattice's one table of essential sums through
+their own vertex masks. The submodule predicates read the lattice
 order's bit-sets. Isomorphism tests and hom counts read the annihilator
 tables on each call: the catalog seldom asks for one pair twice.
 """
@@ -15,7 +15,7 @@ from functools import cached_property
 from .errors import Caps
 from .graphs import EssGraph, proper_sum_essential_graph, sum_essential_graph
 from .lattice import SubmoduleLattice
-from .modules import FiniteModule, ModulePresentation, count_homs, is_isomorphic
+from .modules import FiniteModule, ModulePresentation, _iter_bits, count_homs, is_isomorphic
 
 
 class ModuleAnalysis:
@@ -32,7 +32,7 @@ class ModuleAnalysis:
 
     @cached_property
     def n_graph(self) -> EssGraph:
-        return proper_sum_essential_graph(self.lattice, self.s_graph)
+        return proper_sum_essential_graph(self.lattice)
 
     @property
     def is_simple_module(self) -> bool:
@@ -101,7 +101,7 @@ class ModuleAnalysis:
                 "coatoms": list(lat.coatoms),
                 "socle": lat.socle_id,
                 "radical": lat.radical_id,
-                "essential_ids": [i for i in range(lat.count) if lat.is_essential(i)],
+                "essential_ids": list(_iter_bits(lat.up[lat.socle_id])),
                 "is_semisimple": lat.is_semisimple(),
                 "is_uniform": lat.is_uniform_module(),
                 "uniform_dimension": lat.uniform_dimension(),

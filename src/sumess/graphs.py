@@ -5,13 +5,13 @@ Two distinct vertices are adjacent exactly when their sum is an essential
 submodule. The full graph takes all nontrivial submodules; the proper variant
 keeps only the non-essential ones.
 
-Adjacency is one store per module, built for S(M) from the lattice's up-
-and down-sets with no vertex-pair table: a bitmask int per lattice id, over
-lattice ids, so graph and lattice share one index space. N(M), the subgraph
-of S(M) induced on the non-essential vertices, reads S(M)'s store and holds
-no rows. Every row is read through EssGraph.row, the stored row masked to
-the graph's own vertices (0 for a non-vertex), and counted once through it,
-at build time, into the list deg that every degree reader reads.
+Adjacency is one relation per lattice, held once as
+SubmoduleLattice.essential_sums, a bitmask int per lattice id over lattice
+ids, so graph and lattice share one index space. S(M) and N(M), S(M)
+induced on the non-essential vertices, differ only in their vertex sets.
+Every row is read through EssGraph.row, the table row masked to the
+graph's own vertices (0 for a non-vertex), and counted once through it, at
+build time, into the list deg that every degree reader reads.
 
 Adjacency is monotone in the submodule order: if u <= u' are vertices,
 u ~ v and v != u', then u' ~ v, since u' + v contains the essential u + v.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet
 from .lattice import SubmoduleLattice
-from .modules import _iter_bits
+from .modules import _iter_bits, bits_from_mask
 
 INF = math.inf
 
@@ -47,14 +47,12 @@ _CHUNK_BYTES = 2**16
 
 
 class EssGraph:
-    def __init__(self, lattice: SubmoduleLattice, kind: str, s_graph: EssGraph | None = None):
-        """The graph S(M) (kind "s"), which builds the module's row store, or
-        N(M) (kind "n"), which reads the store of s_graph, the S(M) of the
-        same lattice, through its own vertex mask."""
+    def __init__(self, lattice: SubmoduleLattice, kind: str):
+        """S(M) (kind "s") on the nontrivial submodules or N(M) (kind "n") on
+        the non-essential ones, each reading lattice.essential_sums through
+        row, masked to its own vertices; the first graph builds the table."""
         if kind not in ("s", "n"):
             raise ValueError("kind must be 's' or 'n'")
-        if kind == "n" and (s_graph is None or s_graph.lattice is not lattice or s_graph.kind != "s"):
-            raise ValueError("s_graph must be the S graph of the same lattice")
         self.lattice = lattice
         self.kind = kind
         bits = lattice.down[lattice.full_id] & ~(1 << lattice.full_id | 1 << lattice.zero_id)
@@ -62,6 +60,8 @@ class EssGraph:
             bits &= ~lattice.up[lattice.socle_id]
         self.vertex_bits = bits
         self.vertex_ids = tuple(_iter_bits(bits))
+        # 1 at each vertex id; has_vertex and row test lid >= 0 first, as -1 reads the last id
+        self._is_vertex = bits_from_mask(bits, lattice.count).tobytes()
         self.n_vertices = len(self.vertex_ids)
         # the coatoms in S, the maximal non-essential submodules in N
         self._top_bits = sum(1 << top for top in lattice.maximal(bits))
@@ -70,22 +70,19 @@ class EssGraph:
         self._diameter: float | None = None
         self._girth: float | None = None
 
-        if kind == "n":
-            self._store = s_graph._store
-        else:
-            self._store = [0] * lattice.count
-            for lid in self.vertex_ids:
-                self._store[lid] = bits & ~(1 << lid) & ~lattice.inessential_sums(lid)
-        self.deg = [self.row(lid).bit_count() for lid in range(lattice.count)]
+        self._sums = lattice.essential_sums
+        self.deg = [0] * lattice.count
+        for lid in self.vertex_ids:
+            self.deg[lid] = self.row(lid).bit_count()
 
     # -- basics ---------------------------------------------------------------
 
     def has_vertex(self, lid: int) -> bool:
-        return bool(self.vertex_bits >> lid & 1)
+        return lid >= 0 and self._is_vertex[lid] == 1
 
     def row(self, lid: int) -> int:
         """Neighbours of lid as a bit-int over lattice ids, 0 for a non-vertex."""
-        return self._store[lid] & self.vertex_bits if self.vertex_bits >> lid & 1 else 0
+        return self._sums[lid] & self.vertex_bits if lid >= 0 and self._is_vertex[lid] else 0
 
     @property
     def rows(self) -> list[int]:
@@ -485,13 +482,9 @@ def sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
     return EssGraph(lattice, "s")
 
 
-def proper_sum_essential_graph(
-    lattice: SubmoduleLattice, s_graph: EssGraph | None = None
-) -> EssGraph:
-    """N(M) on the row store of s_graph, or of a new S(M) when none is given."""
-    if s_graph is None:
-        s_graph = EssGraph(lattice, "s")
-    return EssGraph(lattice, "n", s_graph)
+def proper_sum_essential_graph(lattice: SubmoduleLattice) -> EssGraph:
+    """N(M), S(M) induced on the non-essential submodules."""
+    return EssGraph(lattice, "n")
 
 
 def export_dot(graph: EssGraph, name: str | None = None) -> str:

@@ -24,7 +24,9 @@ the two sets are the transitive closure of the steps. Ids ascend with size,
 so the join of i and j is the lowest set bit of up[i] & up[j] and their
 meet the highest set bit of down[i] & down[j]; the other queries are a few
 bit operations each (Ait-Kaci, Boyer, Lincoln and Nasr, "Efficient
-implementation of lattice operations", ACM TOPLAS 11(1), 1989).
+implementation of lattice operations", ACM TOPLAS 11(1), 1989). Both
+graphs read one relation of the lattice, u ~ v iff u + v is essential, held
+once as essential_sums, a bit-int row per id built on first read.
 
 The labels come from the same order. The generating set of subs[i]
 (modules.irredundant_gens) holds each span as a lattice id and grows it by
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 
 import numpy as np
@@ -266,9 +268,6 @@ class SubmoduleLattice:
         self.atom_mask = sum(1 << a for a in self.atoms)
         self.socle_id = reduce(self.join, self.atoms, zero)
         self.radical_id = reduce(self.meet, self.coatoms, full)
-        self._inessential_tops = sum(
-            1 << w for w in self.maximal(down[full] & ~up[self.socle_id])
-        )
 
     # -- basic access --------------------------------------------------------
 
@@ -290,16 +289,22 @@ class SubmoduleLattice:
         """Fast path: essential iff the submodule contains the socle."""
         return bool(self.up[self.socle_id] >> i & 1)
 
-    def inessential_sums(self, i: int) -> int:
-        """Ids j with subs[i] + subs[j] not essential, as a bit-int.
-
-        The sum is not essential iff it lies below a maximal non-essential
-        submodule w, that is iff both i and j lie below such a w.
-        """
-        out = 0
-        for w in _iter_bits(self.up[i] & self._inessential_tops):
-            out |= self.down[w]
-        return out
+    @cached_property
+    def essential_sums(self) -> list[int]:
+        """Row i: the nontrivial j != i with subs[i] + subs[j] essential, as
+        a bit-int (0 for 0 and M). A sum is not essential iff both lie below
+        one maximal non-essential w, so row i drops the down-sets of the w
+        above i. Built on first read, by the lattice's first EssGraph."""
+        up, down = self.up, self.down
+        nontrivial = down[self.full_id] & ~(1 << self.full_id | 1 << self.zero_id)
+        tops = sum(1 << w for w in self.maximal(nontrivial & ~up[self.socle_id]))
+        rows = [0] * self.count
+        for i in _iter_bits(nontrivial):
+            below = 0
+            for w in _iter_bits(up[i] & tops):
+                below |= down[w]
+            rows[i] = nontrivial & ~(1 << i) & ~below
+        return rows
 
     def is_essential_definitional(self, i: int) -> bool:
         """Quantifier form: meets every nonzero submodule nontrivially."""

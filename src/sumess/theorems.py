@@ -479,9 +479,10 @@ def _universal_simple(az: ModuleAnalysis) -> TheoremVerdict:
 def check_semisimple_equalities(az: ModuleAnalysis) -> TheoremVerdict:
     """Semisimplicity <=> S(M) equals N(M) <=> some vertex has equal degrees.
 
-    N(M) reads S(M)'s one row store through its own vertex mask: it is the
-    subgraph of S(M) induced on V(N). So the graphs are equal exactly when
-    the vertex sets and the degree lists each graph counts are equal.
+    S(M) and N(M) read the lattice's one essential-sum table, each through
+    its own vertex mask, so N(M) is the subgraph of S(M) induced on V(N).
+    The graphs are then equal exactly when the vertex sets and the degree
+    lists each graph counts are equal.
     """
     tid = "prop-semisimple"
     if az.is_simple_module:

@@ -1,5 +1,7 @@
 """Corpus enumeration (one module per isomorphism class) and batch runs."""
 import functools
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +192,24 @@ def test_dot_dir_written(tmp_path):
     files = sorted(f.name for f in d.iterdir())
     assert files == ["z2z2_n.dot", "z2z2_s.dot", "z4_n.dot", "z4_s.dot"]
     assert (d / "z4_n.dot").read_text().startswith("graph ")
+
+
+def _bench_check():
+    """bench/check.py, the benchmark's correctness gate, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "check.py"
+    spec = importlib.util.spec_from_file_location("bench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_sweep_matches_benchmark_reference(tmp_path):
+    """The default corpus CSV and its 102 DOT files against the digests the
+    benchmark's reference holds (seed 0), so a byte change in any of them
+    fails here, not first at the benchmark gate."""
+    check = _bench_check()
+    result = run_corpus(CorpusSpec(), dot_dir=str(tmp_path / "dot"))
+    write_csv(result.rows, str(tmp_path / "corpus.csv"))
+    assert len(list((tmp_path / "dot").iterdir())) == 102
+    ref = check.load_reference("corpus-default")
+    assert check.failed_modules(ref, str(tmp_path), False, 0) == []

@@ -1,4 +1,5 @@
 """Graph construction, invariants (with networkx as oracle), and exports."""
+import contextlib
 import hashlib
 import json
 import math
@@ -155,9 +156,10 @@ def test_matrix_ring_triangle():
 
 
 def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentations):
-    """N(M) masked from S(M), as ModuleAnalysis builds it, against the
-    definition: u ~ v iff u != v are non-essential nonzero submodules whose
-    join is essential; non-vertex ids keep zero rows."""
+    """N(M) read from the lattice's essential-sum table, as ModuleAnalysis
+    builds it and on its own, against the definition: u ~ v iff u != v are
+    non-essential nonzero submodules whose join is essential; non-vertex
+    ids keep zero rows."""
     analyses = list(corpus_analyses.values())
     analyses += [ModuleAnalysis(pres) for pres, _ in ring_presentations]
     for az in analyses:
@@ -175,15 +177,15 @@ def test_n_rows_from_s_rows_match_lattice_rows(corpus_analyses, ring_presentatio
                     want[u] |= 1 << v
         assert n.rows == want, name
         assert proper_sum_essential_graph(lat).rows == want, name
-    az = analyses[0]
-    with pytest.raises(ValueError):
-        proper_sum_essential_graph(az.lattice, az.n_graph)
 
 
 def test_row_is_zero_off_the_vertices(corpus_analyses):
-    """row(v) is S(M)'s stored row masked to the graph's own vertices: 0 for
-    every non-vertex (the essential ids in N), rows[v] everywhere, and in N
-    S's row without the essential ids."""
+    """row(v) is the lattice's essential-sum row masked to the graph's own
+    vertices: 0 for every non-vertex (the essential ids in N), rows[v]
+    everywhere, and in N S's row without the essential ids. The ids -2, -1
+    and L index no submodule: has_vertex and row give False and 0 or raise
+    IndexError, never another id's answer, as an unguarded lookup by
+    position would."""
     for name, az in corpus_analyses.items():
         lat, s, n = az.lattice, az.s_graph, az.n_graph
         s_rows, n_rows = s.rows, n.rows
@@ -192,27 +194,47 @@ def test_row_is_zero_off_the_vertices(corpus_analyses):
                 assert g.row(v) == rows[v], (name, g.kind, v)
                 if not g.has_vertex(v):
                     assert g.row(v) == 0, (name, g.kind, v)
+            for v in (-2, -1, lat.count):
+                for read, off in ((g.has_vertex, False), (g.row, 0)):
+                    with contextlib.suppress(IndexError):
+                        assert read(v) == off, (name, g.kind, v, read.__name__)
         for v in n.vertex_ids:
             assert n.row(v) == s.row(v) & n.vertex_bits, (name, v)
         assert n.deg == [row.bit_count() for row in n_rows], name
 
 
-def test_n_build_holds_no_rows():
-    """N(M) of Z4 x Z2^4 (L = 681) built after S(M) reads S's row store and
-    copies none of it. Its build may hold per lattice id a slot of its
-    vertex tuple and of its degree list, each with an int (72 bytes); past
-    that, its traced peak stays under a tenth of S's row bytes."""
-    lat = enumerate_lattice(build_module(integer_module("z4z2^4", 4, 2, 2, 2, 2)))
-    s = sum_essential_graph(lat)
-    row_bytes = sum(map(sys.getsizeof, s.rows))
-    tracemalloc.start()
-    try:
-        n = proper_sum_essential_graph(lat, s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert n.n_vertices == lat.count - 3
-    assert peak < row_bytes / 10 + 72 * lat.count, (peak, row_bytes)
+def test_graph_build_holds_no_rows():
+    """On Z4 x Z2^5 (L = 5,276) the lattice holds the one essential-sum
+    table, and a graph built after another graph of the same lattice copies
+    none of it: N(M) after S(M), and S(M) after N(M) on a fresh lattice.
+    Past a tenth of the table's row bytes, the build may hold 81 bytes per
+    lattice id for the graph's own per-id tables: a vertex-tuple slot and
+    its int (40), a degree-list slot and its int (40), and a byte of the
+    vertex table (1). sys.getsizeof on CPython 3.11 gives 72.5 bytes per id
+    for these three at this L, and the traced peak of either build is 75.4
+    bytes per id; a second copy of the rows would add 728."""
+    def traced_peak(build, lat):
+        tracemalloc.start()
+        try:
+            graph = build(lat)
+            return graph, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def z4z2_5():
+        return enumerate_lattice(build_module(integer_module("z4z2^5", 4, 2, 2, 2, 2, 2)))
+
+    lat = z4z2_5()
+    sum_essential_graph(lat)
+    n, n_peak = traced_peak(proper_sum_essential_graph, lat)
+    fresh = z4z2_5()
+    proper_sum_essential_graph(fresh)
+    s, s_peak = traced_peak(sum_essential_graph, fresh)
+    assert lat.count == fresh.count == 5_276
+    assert (n.n_vertices, s.n_vertices) == (lat.count - 3, lat.count - 2)
+    row_bytes = sum(map(sys.getsizeof, lat.essential_sums))
+    bound = row_bytes / 10 + 81 * lat.count
+    assert n_peak < bound and s_peak < bound, (n_peak, s_peak, bound)
 
 
 def test_invariants_match_networkx(corpus_analyses):

@@ -250,10 +250,14 @@ def _prime_power_types(moduli):
 
 
 def test_abelian_counts_match_birkhoff_formula():
-    """L and |V(N)| of every abelian group of order 4..64 but the primes
-    against the closed form, and the order-256 values from the formula."""
+    """L and |V(N)| of every abelian group of order 4..64 but the primes,
+    and of the 15 of order 128 (Z2^7's L = 29,212 the largest), against the
+    closed form, and the order-256 values from the formula."""
     presentations = abelian_presentations(64)
     assert len(presentations) == 98
+    order128 = [p for p in abelian_presentations(128) if math.prod(p.moduli) == 128]
+    assert len(order128) == 15
+    presentations += order128
     for pres in presentations:
         lat = enumerate_lattice(build_module(pres))
         want = _abelian_oracle(_prime_power_types(pres.moduli))

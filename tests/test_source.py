@@ -41,18 +41,22 @@ def test_ring_read_in_modules_only():
 
 
 def test_row_store_read_through_row():
-    """S(M)'s row store (`_store`) is touched only in EssGraph.__init__,
-    which builds it or takes S's, and in EssGraph.row: every other row read
-    goes through row, so N(M) sees only its own vertices."""
-    found = {
-        (path.name, func.name)
-        for path in SOURCES
-        for func in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(func, ast.FunctionDef)
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr == "_store"
-    }
-    assert found == {("graphs.py", "__init__"), ("graphs.py", "row")}, found
+    """The lattice's essential-sum table (`essential_sums`) is read only in
+    EssGraph.__init__, which keeps it as `_sums`, and `_sums` only there and
+    in EssGraph.row: every other row read goes through row's vertex mask,
+    so N(M) sees only its own vertices."""
+    def readers(attr):
+        return {
+            (path.name, func.name)
+            for path in SOURCES
+            for func in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == attr
+        }
+
+    assert readers("essential_sums") == {("graphs.py", "__init__")}
+    assert readers("_sums") == {("graphs.py", "__init__"), ("graphs.py", "row")}
 
 
 def test_import_loads_no_pool_or_cli():
