@@ -141,6 +141,13 @@ def cmd_verify(args) -> int:
     return 0 if verdict.passed else 1
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sumess",
@@ -177,7 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--out", default="corpus.csv", metavar="PATH", help="CSV output path")
     c.add_argument("--dot-dir", metavar="DIR", help="write DOT files per module here")
-    c.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    c.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=None,
+        metavar="N",
+        help="processes that share the sweep (default: one per usable CPU); "
+        "the output is the same for every N",
+    )
     c.add_argument(
         "--deep", action="store_true", help="extend the sweep to order 64"
     )

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -160,9 +163,7 @@ def _run_item(args):
     no DOT text is held whole.
     """
     pres, ids, caps, dot_dir = args
-    order = 1
-    for m in pres.moduli:
-        order *= m
+    order = math.prod(pres.moduli)
     try:
         az = ModuleAnalysis(pres, caps=caps)
         verdicts = run_catalog(az, ids)
@@ -185,13 +186,18 @@ def _run_item(args):
 def run_corpus(
     cspec: CorpusSpec,
     caps: Caps | None = None,
-    jobs: int = 1,
+    jobs: int | None = None,
     dot_dir: str | None = None,
 ) -> CorpusResult:
     """Run the catalog over the corpus; results in enumeration order.
 
-    With dot_dir, each module writes its S and N DOT files there as it
-    finishes (see _run_item); no DOT text is held whole.
+    `jobs` processes share the sweep, by default one per CPU this process
+    may use (see _run_forked); the rows and DOT files are the same bytes
+    for every value. A module that raises an exception other than a
+    library error ends the sweep with the exception of the first such
+    module in enumeration order, as a serial sweep would. With dot_dir,
+    each module writes its S and N DOT files there as it finishes (see
+    _run_item); no DOT text is held whole.
     """
     caps = caps or Caps()
     # unknown ids raise here, before any module runs
@@ -200,16 +206,111 @@ def run_corpus(
     tasks = [(pres, ids, caps, dot_dir) for pres in enumerate_corpus(cspec)]
     if dot_dir is not None:
         os.makedirs(dot_dir, exist_ok=True)
+    if jobs is None:
+        jobs = _usable_cpus()
+    jobs = min(jobs, len(tasks))
+    # fork copies only the calling thread, so a process with other threads
+    # (whose locks the children would inherit held) sweeps serially
+    forked = jobs > 1 and hasattr(os, "fork") and threading.active_count() == 1
+    returned = _run_forked(tasks, jobs) if forked else {}
+    rows = []
+    # what no process returned runs here, so a serial sweep runs it all
+    for i, task in enumerate(tasks):
+        outcome = returned.pop(i) if i in returned else _run_item(task)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        rows += outcome
+    return CorpusResult(rows)
 
-    if jobs <= 1:
-        outcomes = map(_run_item, tasks)
-    else:
-        # imported here: it loads multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_item, tasks))
-    return CorpusResult([row for rows in outcomes for row in rows])
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _size(pres: ModulePresentation) -> int:
+    """A cheap stand-in for a module's sweep time, to order the queue."""
+    return math.prod(pres.moduli) * len(pres.moduli)
+
+
+def _run_forked(tasks: list, jobs: int) -> dict:
+    """Outcomes of _run_item from this process and jobs - 1 forked
+    children, keyed by task index: a module's rows, or the exception it
+    raised.
+
+    Every process takes the next position of one largest-first order
+    (longest processing time first, with order * number of moduli as the
+    size) from a shared counter, and writes its own modules' DOT files. A
+    child pickles its outcomes back through a pipe and leaves by os._exit.
+    A child that dies, or cannot pickle its outcomes, returns nothing, so
+    its indices are missing. No child outlives this call.
+    """
+    # imported here: a serial sweep, and `import sumess`, never load them
+    import multiprocessing
+    import pickle
+    import signal
+
+    ctx = multiprocessing.get_context("fork")
+    queue = sorted(range(len(tasks)), key=lambda i: -_size(tasks[i][0]))
+    counter = ctx.RawValue("i", 0)
+    lock = ctx.Lock()
+
+    def drain() -> dict:
+        outcomes = {}
+        while True:
+            with lock:
+                k = counter.value
+                counter.value = k + 1
+            if k >= len(queue):
+                return outcomes
+            i = queue[k]
+            try:
+                outcomes[i] = _run_item(tasks[i])
+            except Exception as exc:  # raised by run_corpus, in task order
+                outcomes[i] = exc
+
+    children = {}  # pid -> read end of its pipe
+    sys.stdout.flush()  # so that no child inherits buffered output
+    sys.stderr.flush()
+    try:
+        for _ in range(jobs - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: sweep with those forked so far
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    payload = pickle.dumps(drain(), pickle.HIGHEST_PROTOCOL)
+                    with open(w, "wb") as fh:
+                        fh.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        outcomes = drain()
+        for pid in list(children):
+            with children[pid] as fh:
+                payload = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status == 0:
+                try:
+                    outcomes.update(pickle.loads(payload))
+                except Exception:  # an exception that cannot be rebuilt here: rerun it
+                    pass
+    finally:
+        for pid, fh in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
 
 
 def write_csv(rows: list[CorpusRow], path: str) -> None:

@@ -197,6 +197,21 @@ def test_corpus_unwritable_csv(tmp_path, capsys, monkeypatch):
     assert not ran
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_corpus_jobs_below_one_rejected(jobs, tmp_path, capsys):
+    """--jobs counts processes, so 0 and below are usage errors, not a serial run."""
+    out_csv = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["corpus", "--max-order", "4", "--jobs", jobs, "--out", str(out_csv)])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+def test_corpus_jobs_default_is_automatic():
+    assert sumess.cli.build_parser().parse_args(["corpus"]).jobs is None
+
+
 def test_corpus_dot_dir_is_a_file(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -1,10 +1,13 @@
 """Corpus enumeration (one module per isomorphism class) and batch runs."""
 import functools
 import importlib.util
+import os
+import time
 from pathlib import Path
 
 import pytest
 
+import sumess.corpus
 from sumess import (
     Caps,
     CorpusSpec,
@@ -170,6 +173,105 @@ def test_run_corpus_jobs_deterministic():
     seq = run_corpus(spec, jobs=1)
     par = run_corpus(spec, jobs=3)
     assert seq.rows == par.rows
+
+
+DEEP = CorpusSpec(max_order=64)  # the corpus of `sumess corpus --deep`
+
+
+def _sweep_bytes(out, jobs, spec=DEEP):
+    """The CSV and every DOT file of one sweep into out, as bytes."""
+    result = run_corpus(spec, jobs=jobs, dot_dir=str(out / "dot"))
+    write_csv(result.rows, str(out / "corpus.csv"))
+    dots = {f.name: f.read_bytes() for f in (out / "dot").iterdir()}
+    return (out / "corpus.csv").read_bytes(), dots
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_output_byte_identical(tmp_path, monkeypatch):
+    """The --deep sweep's CSV and DOT bytes for jobs 1, 2 and 3 (more
+    processes than this machine may have CPUs), each module run once."""
+    log = tmp_path / "ran.log"
+    run_item = sumess.corpus._run_item
+
+    def logged(task):
+        # O_APPEND: one line per module, whichever process runs it
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, f"{task[0].name}\n".encode())
+        os.close(fd)
+        return run_item(task)
+
+    want = _sweep_bytes(tmp_path / "serial", 1)
+    names = sorted(p.name for p in enumerate_corpus(DEEP))
+    assert len(want[1]) == 2 * len(names)
+    monkeypatch.setattr(sumess.corpus, "_run_item", logged)
+    for jobs in (2, 3):
+        log.write_text("")
+        assert _sweep_bytes(tmp_path / f"jobs{jobs}", jobs) == want
+        # a lost update of the shared counter would run a module twice
+        assert sorted(log.read_text().split()) == names
+        _assert_no_child_left()
+
+
+def test_killed_worker_drops_no_rows(tmp_path, monkeypatch):
+    """A child that dies inside a module sends nothing back; the parent
+    runs every module no process returned, so the bytes do not change."""
+    parent = os.getpid()
+    run_item = sumess.corpus._run_item
+    died = tmp_path / "died"
+
+    def dying(task):
+        if os.getpid() != parent:
+            died.write_text(task[0].name)
+            os._exit(1)
+        # the parent holds back until a child has died, so that one surely does
+        deadline = time.monotonic() + 60
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return run_item(task)
+
+    spec = CorpusSpec(max_order=16)
+    want = _sweep_bytes(tmp_path / "serial", 1, spec)
+    monkeypatch.setattr(sumess.corpus, "_run_item", dying)
+    assert _sweep_bytes(tmp_path / "killed", 2, spec) == want
+    assert died.read_text() in {p.name for p in enumerate_corpus(spec)}
+    _assert_no_child_left()
+
+
+class TwoPartError(Exception):
+    """An exception whose pickle cannot be rebuilt: its args hold one
+    message, but __init__ takes two parts."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda name: RuntimeError(f"boom in {name}"), lambda name: TwoPartError("boom", name)],
+    ids=["runtime-error", "unpicklable-error"],
+)
+def test_first_failing_module_raises(make, monkeypatch):
+    """A non-library exception ends the sweep with the exception of the
+    first failing module in enumeration order, for every jobs. z4 is
+    enumerated first but, being smallest, is run last under largest-first."""
+    failing = {"z4", "z2z2z2z2z2", "z4z4"}
+    run_item = sumess.corpus._run_item
+
+    def failing_item(task):
+        if task[0].name in failing:
+            raise make(task[0].name)
+        return run_item(task)
+
+    monkeypatch.setattr(sumess.corpus, "_run_item", failing_item)
+    for jobs in (1, 2, 3):
+        with pytest.raises(Exception) as raised:
+            run_corpus(CorpusSpec(), jobs=jobs)
+        assert type(raised.value) is type(make("z4")) and str(raised.value) == "boom in z4"
+        _assert_no_child_left()
 
 
 def test_write_csv_byte_identical(tmp_path):

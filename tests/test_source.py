@@ -167,7 +167,8 @@ def init(self, *args, **kwargs):
     traced_init(self, *args, **kwargs)
     edges.append(self.n_edges())
 sumess.graphs.EssGraph.__init__ = init
-result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8))
+# one process: the wrappers are installed in this one only
+result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8), jobs=1)
 metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
 print(json.dumps({"rows": len(result.rows), "edges": sum(edges), "metrics": metrics}))
 """
@@ -216,7 +217,8 @@ def test_corpus_dot_text_made_by_export_dot(monkeypatch, tmp_path):
         export_dot(graph, name, fh)
 
     monkeypatch.setattr(sumess.corpus, "export_dot", counting)
-    result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8), dot_dir=str(tmp_path))
+    # one process, so that the recorder sees every module
+    result = sumess.corpus.run_corpus(sumess.CorpusSpec(max_order=8), jobs=1, dot_dir=str(tmp_path))
     modules = {r.module for r in result.rows}
     assert len(modules) > 1
     assert sorted(name for name, _ in made) == sorted(f"{m}_{k}" for m in modules for k in "sn")
